@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check cover bench bench-json campaign backend-e2e golden wdl-golden diff fuzz soak daemon-e2e
+.PHONY: build test race vet check cover bench campaign backend-e2e golden wdl-golden diff fuzz soak daemon-e2e
 
 build:
 	$(GO) build ./...
@@ -22,17 +22,6 @@ cover:
 # bench runs one iteration of every benchmark (smoke, not measurement).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
-
-# bench-json measures the canonical BenchmarkRun* throughput/allocation
-# benchmarks, records them in BENCH_6.json's "after" section (the committed
-# "baseline" section is preserved across regenerations), and enforces the
-# acceptance gates: sampled mode >= 10x full-detail instrs/s, and no
-# benchmark regressing >10% against the baseline when measured on the
-# baseline machine. (BENCH_5.json is the frozen PR-5 inner-loop ledger.)
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkRun' -benchmem -benchtime 10x . \
-		| $(GO) run ./cmd/bench2json -out BENCH_6.json -label after
-	$(GO) run ./cmd/benchgate -ledger BENCH_6.json
 
 # campaign runs a tiny cached campaign twice and asserts the warm-cache
 # re-run performs zero simulations — the content-addressed result cache's

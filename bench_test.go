@@ -380,29 +380,9 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// BenchmarkSimulatorThroughput measures raw simulation speed (instructions
-// per wall second) — the engineering metric of the substrate itself.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	w, ok := trace.ByName("spec.stream_s00")
-	if !ok {
-		b.Fatal("workload missing")
-	}
-	cfg := sim.DefaultConfig()
-	cfg.Policy = sim.PolicyDripper
-	cfg.WarmupInstrs = 0
-	cfg.SimInstrs = 100_000
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunWorkload(context.Background(), cfg, w); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(cfg.SimInstrs)*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
-}
-
 // BenchmarkRunWorkload is the canonical single-workload throughput
-// benchmark BENCH_5.json tracks: one full Run (setup + 100k measured
-// instructions of spec.stream_s00 under DRIPPER) per iteration, with
+// benchmark: one full Run (setup + 100k measured instructions of
+// spec.stream_s00 under DRIPPER) per iteration, with
 // allocation counts (the hot-path work targets allocations per simulated
 // instruction as much as wall clock).
 func BenchmarkRunWorkload(b *testing.B) {
@@ -424,9 +404,8 @@ func BenchmarkRunWorkload(b *testing.B) {
 	b.ReportMetric(float64(cfg.SimInstrs)*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
 }
 
-// BenchmarkRunWorkloadSampled is BenchmarkRunWorkload's fast-mode twin and
-// the benchmark behind BENCH_6.json's >=10x acceptance gate: the same
-// workload and policy under the default auto-period sampling schedule, at a
+// BenchmarkRunWorkloadSampled is BenchmarkRunWorkload's fast-mode twin: the
+// same workload and policy under the default auto-period sampling schedule, at a
 // budget (10M instructions) where the fixed interval count thins the
 // detailed fraction to ~1%. instrs/s counts budget instructions covered per
 // wall second, the same accounting as the full benchmark, so the ratio of

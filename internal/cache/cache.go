@@ -41,22 +41,21 @@ type Request struct {
 
 	// Prefetch metadata, used by the L1D hooks.
 	IsPageCross bool
-	FilterTag   uint64
 	Delta       int64
 }
 
-// Block is one cache line's metadata.
+// Block is one cache line's metadata. Its tag lives only in the packed tags
+// row of the cache; the block keeps the full line address instead.
 type Block struct {
+	pa    mem.PAddr // line-aligned physical address
+	issue uint64    // cycle the fill request was issued
+	ready uint64    // fill-completion cycle
+
 	valid     bool
 	dirty     bool
-	pa        mem.PAddr // line-aligned physical address
-	tag       uint64
-	issue     uint64 // cycle the fill request was issued
-	ready     uint64 // fill-completion cycle
-	prefetch  bool   // filled by a prefetch, cleared design-wise never (stat kept until evict)
-	pageCross bool   // the paper's PCB bit
-	servedHit bool   // served >=1 demand access since fill
-	filterTag uint64 // page-cross filter tag carried from the prefetch
+	prefetch  bool // filled by a prefetch, cleared design-wise never (stat kept until evict)
+	pageCross bool // the paper's PCB bit
+	servedHit bool // served >=1 demand access since fill
 }
 
 // EvictInfo describes an evicted block to the eviction hook.
@@ -65,7 +64,6 @@ type EvictInfo struct {
 	Prefetch  bool
 	PageCross bool
 	ServedHit bool
-	FilterTag uint64
 	Dirty     bool
 }
 
@@ -76,7 +74,6 @@ type HitInfo struct {
 	PC        mem.VAddr
 	Prefetch  bool
 	PageCross bool
-	FilterTag uint64
 	// FirstHit is true when this is the first demand access the block
 	// serves since it was filled.
 	FirstHit bool
@@ -130,12 +127,12 @@ func (c Config) Validate() error {
 // SizeBytes returns the capacity of the configuration.
 func (c Config) SizeBytes() int { return c.Sets * c.Ways * mem.LineSize }
 
-type inflight struct {
+// mshr is one MSHR: a fill in flight at this level. The line it fetches is
+// kept in the parallel packed row Cache.mshrLines.
+type mshr struct {
 	issue       uint64 // cycle the fill request entered this level
 	ready       uint64
-	prefetch    bool
 	pageCross   bool
-	filterTag   uint64
 	demandMerge bool // a demand access merged while in flight
 	leaked      bool // fault injection: the MSHR release for this fill is lost
 }
@@ -184,12 +181,17 @@ type Cache struct {
 	leakEveryN uint64
 	gcReleases uint64
 
-	outstanding map[uint64]*inflight // line ID → in-flight fill
-	// minReady is the exact earliest completion cycle over the non-leaked
-	// outstanding fills (^0 when none). gcOutstanding runs on every access;
-	// without this bound it iterates the whole MSHR map each time, which
-	// profiling shows dominates simulation CPU. With it, the common case —
-	// nothing has completed since the last sweep — is one comparison.
+	// mshrs is the MSHR file: one value entry per fill in flight, allocated
+	// once at the configured capacity. mshrLines is its packed line-ID row,
+	// parallel to it, so the associative MSHR lookup scans one contiguous
+	// array (as tags does for the sets). Retirement swap-removes entries;
+	// only an injected leak can grow the file past its capacity.
+	mshrs     []mshr
+	mshrLines []uint64
+	// minReady is a lower bound on the earliest completion cycle over the
+	// non-leaked MSHRs (^0 when none). gcOutstanding runs on every access;
+	// with this bound the common case — nothing has completed since the
+	// last sweep — is one comparison.
 	minReady uint64
 
 	// lowReq is the scratch request reused for every forward to the lower
@@ -239,7 +241,8 @@ func New(cfg Config, lower Level) (*Cache, error) {
 		tags:        tags,
 		lrus:        make([]uint64, cfg.Sets*cfg.Ways),
 		setShift:    uint(log2(cfg.Sets)),
-		outstanding: make(map[uint64]*inflight),
+		mshrs:       make([]mshr, 0, cfg.MSHRs),
+		mshrLines:   make([]uint64, 0, cfg.MSHRs),
 		minReady:    ^uint64(0),
 		missLatEWMA: 300, // sane prior until real misses calibrate it
 		Stats:       &stats.CacheStats{},
@@ -290,6 +293,26 @@ func (c *Cache) lookup(pa mem.PAddr) *Block {
 	return nil
 }
 
+// findMSHR scans the packed MSHR line row and returns the entry fetching
+// line, or -1.
+func (c *Cache) findMSHR(line uint64) int {
+	for i, l := range c.mshrLines {
+		if l == line {
+			return i
+		}
+	}
+	return -1
+}
+
+// retireMSHR frees entry i by moving the file's last entry into its slot.
+func (c *Cache) retireMSHR(i int) {
+	last := len(c.mshrs) - 1
+	c.mshrs[i] = c.mshrs[last]
+	c.mshrLines[i] = c.mshrLines[last]
+	c.mshrs = c.mshrs[:last]
+	c.mshrLines = c.mshrLines[:last]
+}
+
 // gcOutstanding retires completed MSHR entries. The minReady watermark makes
 // the no-op case (no non-leaked fill has completed yet) a single comparison;
 // the set of entries retired is identical to a full sweep, since cycle <
@@ -301,24 +324,28 @@ func (c *Cache) gcOutstanding(cycle uint64) {
 		return
 	}
 	min := ^uint64(0)
-	for id, fl := range c.outstanding {
-		if fl.leaked {
+	for i := 0; i < len(c.mshrs); {
+		e := &c.mshrs[i]
+		if e.leaked {
+			i++
 			continue
 		}
-		if fl.ready <= cycle {
+		if e.ready <= cycle {
 			if n := c.leakEveryN; n > 0 {
 				c.gcReleases++
 				if c.gcReleases%n == 0 {
-					fl.leaked = true // release lost: the entry stays allocated
+					e.leaked = true // release lost: the entry stays allocated
+					i++
 					continue
 				}
 			}
-			delete(c.outstanding, id)
+			c.retireMSHR(i) // slot i now holds an unvisited entry
 			continue
 		}
-		if fl.ready < min {
-			min = fl.ready
+		if e.ready < min {
+			min = e.ready
 		}
+		i++
 	}
 	c.minReady = min
 }
@@ -336,7 +363,7 @@ func (c *Cache) MissLatencyEstimate() uint64 { return c.missLatEWMA }
 // cycle; the adaptive thresholding scheme uses it as ROB/L1D pressure input.
 func (c *Cache) OutstandingMisses(cycle uint64) int {
 	c.gcOutstanding(cycle)
-	return len(c.outstanding)
+	return len(c.mshrs)
 }
 
 // Access implements Level.
@@ -350,7 +377,7 @@ func (c *Cache) Access(req *Request, cycle uint64) uint64 {
 
 func (c *Cache) access(req *Request, cycle uint64) uint64 {
 	c.gcOutstanding(cycle)
-	c.mshrHist.Observe(uint64(len(c.outstanding)))
+	c.mshrHist.Observe(uint64(len(c.mshrs)))
 	demand := req.Type.IsDemand()
 	if demand {
 		c.Stats.DemandAccesses++
@@ -400,7 +427,7 @@ func (c *Cache) access(req *Request, cycle uint64) uint64 {
 				c.OnDemandHit(HitInfo{
 					PA: req.PA, VA: req.VA, PC: req.PC,
 					Prefetch: b.prefetch, PageCross: b.pageCross,
-					FilterTag: b.filterTag, FirstHit: first,
+					FirstHit: first,
 				})
 			}
 		} else if req.Type == mem.Prefetch {
@@ -413,7 +440,10 @@ func (c *Cache) access(req *Request, cycle uint64) uint64 {
 	// demand merging into a prefetch MSHR must update the resident block's
 	// usefulness the same way a post-fill hit would (late-but-useful
 	// prefetch).
-	if fl, ok := c.outstanding[req.PA.LineID()]; ok && cycle >= fl.issue {
+	line := req.PA.LineID()
+	fi := c.findMSHR(line)
+	if fi >= 0 && cycle >= c.mshrs[fi].issue {
+		fl := &c.mshrs[fi]
 		if demand {
 			c.Stats.DemandMisses++
 			fl.demandMerge = true
@@ -446,46 +476,52 @@ func (c *Cache) access(req *Request, cycle uint64) uint64 {
 			c.OnDemandMiss(req)
 		}
 	}
-	if req.Type == mem.Prefetch && len(c.outstanding) >= c.cfg.MSHRs {
+	if req.Type == mem.Prefetch && len(c.mshrs) >= c.cfg.MSHRs {
 		// Prefetches are dropped when MSHRs are exhausted.
 		c.Stats.MSHRDropPrefetch++
 		return cycle
 	}
 	issue := cycle
-	if len(c.outstanding) >= c.cfg.MSHRs {
+	if len(c.mshrs) >= c.cfg.MSHRs {
 		c.Stats.MSHRFullWaits++
 		// Demand miss with full MSHRs: wait for the earliest completion.
 		earliest := ^uint64(0)
-		for _, fl := range c.outstanding {
-			if fl.ready < earliest {
-				earliest = fl.ready
+		for i := range c.mshrs {
+			if r := c.mshrs[i].ready; r < earliest {
+				earliest = r
 			}
 		}
 		issue = earliest
 		c.gcOutstanding(issue)
+		if fi >= 0 {
+			fi = c.findMSHR(line) // retirement may have moved the entry
+		}
 	}
 
 	c.lowReq = *req
 	ready := c.lower.Access(&c.lowReq, issue+c.cfg.Latency)
 
-	fl := &inflight{
-		issue:     issue,
-		ready:     ready,
-		prefetch:  req.Type == mem.Prefetch,
-		pageCross: req.IsPageCross && req.Type == mem.Prefetch,
-		filterTag: req.FilterTag,
+	fl := mshr{
+		issue:       issue,
+		ready:       ready,
+		pageCross:   req.IsPageCross && req.Type == mem.Prefetch,
+		demandMerge: demand,
 	}
-	if demand {
-		fl.demandMerge = true
+	// A line whose fill is already in flight (issued after this access's
+	// cycle) is re-issued in place, so the file never holds one line twice.
+	if fi >= 0 {
+		c.mshrs[fi] = fl
+	} else {
+		c.mshrs = append(c.mshrs, fl)
+		c.mshrLines = append(c.mshrLines, line)
 	}
-	c.outstanding[req.PA.LineID()] = fl
 	if ready < c.minReady {
 		c.minReady = ready
 	}
 	if demand && ready > cycle {
 		c.missLatEWMA = (c.missLatEWMA*7 + (ready - cycle)) / 8
 	}
-	c.fill(req, fl, issue, ready)
+	c.fill(req, &fl, issue, ready)
 	return ready
 }
 
@@ -568,7 +604,7 @@ func (c *Cache) fillStamp() uint64 {
 // is already resident (a demand overtook a not-yet-issued prefetch, or vice
 // versa), the existing block is replaced in place so a set never holds two
 // copies of one tag.
-func (c *Cache) fill(req *Request, fl *inflight, issue, ready uint64) {
+func (c *Cache) fill(req *Request, fl *mshr, issue, ready uint64) {
 	si := c.setIndex(req.PA)
 	set := c.sets[si]
 	tag := c.tag(req.PA)
@@ -585,13 +621,11 @@ func (c *Cache) fill(req *Request, fl *inflight, issue, ready uint64) {
 		valid:     true,
 		dirty:     req.Type == mem.Store,
 		pa:        req.PA.Line(),
-		tag:       tag,
 		issue:     issue,
 		ready:     ready,
 		prefetch:  isPrefetch,
 		pageCross: fl.pageCross,
 		servedHit: fl.demandMerge && !isPrefetch,
-		filterTag: req.FilterTag,
 	}
 	c.tags[si*uint64(c.cfg.Ways)+uint64(wi)] = tag
 	c.lrus[si*uint64(c.cfg.Ways)+uint64(wi)] = c.fillStamp()
@@ -624,7 +658,6 @@ func (c *Cache) evict(b *Block) {
 			Prefetch:  b.prefetch,
 			PageCross: b.pageCross,
 			ServedHit: b.servedHit,
-			FilterTag: b.filterTag,
 			Dirty:     b.dirty,
 		})
 	}
@@ -678,41 +711,40 @@ func (c *Cache) ServedHit(pa mem.PAddr) (served, resident bool) {
 // semantically invisible to the timing model.
 func (c *Cache) CheckInvariants(cycle uint64) error {
 	c.gcOutstanding(cycle)
-	if got := len(c.outstanding); got > c.cfg.MSHRs {
+	if got := len(c.mshrs); got > c.cfg.MSHRs {
 		return fmt.Errorf("mshr-overflow: %s holds %d in-flight fills with %d MSHRs", c.cfg.Name, got, c.cfg.MSHRs)
 	}
-	for id, fl := range c.outstanding {
+	for i, fl := range c.mshrs {
 		if fl.ready <= cycle {
-			return fmt.Errorf("mshr-leak: %s line %#x completed at cycle %d but still occupies an MSHR at cycle %d", c.cfg.Name, id, fl.ready, cycle)
+			return fmt.Errorf("mshr-leak: %s line %#x completed at cycle %d but still occupies an MSHR at cycle %d", c.cfg.Name, c.mshrLines[i], fl.ready, cycle)
 		}
 		if fl.issue > fl.ready {
-			return fmt.Errorf("mshr-time-order: %s line %#x issued at %d after its ready cycle %d", c.cfg.Name, id, fl.issue, fl.ready)
+			return fmt.Errorf("mshr-time-order: %s line %#x issued at %d after its ready cycle %d", c.cfg.Name, c.mshrLines[i], fl.issue, fl.ready)
 		}
 	}
+	ways := uint64(c.cfg.Ways)
 	for si := range c.sets {
 		set := c.sets[si]
+		row := c.tags[uint64(si)*ways : uint64(si)*ways+ways]
 		for wi := range set {
 			b := &set[wi]
-			mirror := c.tags[uint64(si)*uint64(c.cfg.Ways)+uint64(wi)]
+			tag := row[wi]
+			if b.valid != (tag != invalidTag) {
+				return fmt.Errorf("tag-desync: %s set %d way %d valid=%v but packed tag %#x", c.cfg.Name, si, wi, b.valid, tag)
+			}
 			if !b.valid {
-				if mirror != invalidTag {
-					return fmt.Errorf("tag-desync: %s set %d way %d invalid but packed tag %#x", c.cfg.Name, si, wi, mirror)
-				}
 				continue
 			}
-			if mirror != b.tag {
-				return fmt.Errorf("tag-desync: %s set %d way %d holds tag %#x but packed tag %#x", c.cfg.Name, si, wi, b.tag, mirror)
-			}
-			if int(c.setIndex(b.pa)) != si || c.tag(b.pa) != b.tag {
+			if int(c.setIndex(b.pa)) != si || c.tag(b.pa) != tag {
 				return fmt.Errorf("block-misplaced: %s block pa %#x stored in set %d tag %#x, address maps to set %d tag %#x",
-					c.cfg.Name, b.pa, si, b.tag, c.setIndex(b.pa), c.tag(b.pa))
+					c.cfg.Name, b.pa, si, tag, c.setIndex(b.pa), c.tag(b.pa))
 			}
 			if b.issue > b.ready {
 				return fmt.Errorf("block-time-order: %s block pa %#x issue %d > ready %d", c.cfg.Name, b.pa, b.issue, b.ready)
 			}
-			for wj := wi + 1; wj < len(set); wj++ {
-				if set[wj].valid && set[wj].tag == b.tag {
-					return fmt.Errorf("duplicate-tag: %s set %d holds tag %#x twice (pa %#x)", c.cfg.Name, si, b.tag, b.pa)
+			for wj := wi + 1; wj < len(row); wj++ {
+				if row[wj] == tag {
+					return fmt.Errorf("duplicate-tag: %s set %d holds tag %#x twice (pa %#x)", c.cfg.Name, si, tag, b.pa)
 				}
 			}
 		}
@@ -736,7 +768,8 @@ func (c *Cache) Flush() {
 		c.tags[i] = invalidTag
 		c.lrus[i] = 0
 	}
-	c.outstanding = make(map[uint64]*inflight)
+	c.mshrs = c.mshrs[:0]
+	c.mshrLines = c.mshrLines[:0]
 	c.minReady = ^uint64(0)
 }
 
@@ -793,7 +826,6 @@ func (c *Cache) Warm(pa mem.PAddr, store bool) {
 		valid:     true,
 		dirty:     store,
 		pa:        pa.Line(),
-		tag:       tag,
 		servedHit: true,
 	}
 	c.tags[si*uint64(c.cfg.Ways)+uint64(wi)] = tag

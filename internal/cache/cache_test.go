@@ -141,7 +141,7 @@ func TestPrefetchUselessOnEvict(t *testing.T) {
 	var evicted []EvictInfo
 	c.OnEvict = func(e EvictInfo) { evicted = append(evicted, e) }
 
-	c.Access(&Request{PA: 0x000, Type: mem.Prefetch, IsPageCross: true, FilterTag: 0x7a60}, 0)
+	c.Access(&Request{PA: 0x000, Type: mem.Prefetch, IsPageCross: true}, 0)
 	// Fill the set and force the prefetched block out without any demand hit.
 	c.Access(load(0x100), 10)
 	c.Access(load(0x200), 20)
@@ -153,7 +153,7 @@ func TestPrefetchUselessOnEvict(t *testing.T) {
 		t.Fatalf("evict hook fired %d times", len(evicted))
 	}
 	e := evicted[0]
-	if !e.Prefetch || !e.PageCross || e.ServedHit || e.FilterTag != 0x7a60 || e.PA != 0x000 {
+	if !e.Prefetch || !e.PageCross || e.ServedHit || e.PA != 0x000 {
 		t.Fatalf("evict info: %+v", e)
 	}
 }

@@ -43,12 +43,14 @@ func TestCheckInvariantsCatchesOverflowAndOrdering(t *testing.T) {
 	c := smallCache(t, &fakeLower{latency: 20})
 	// More live entries than MSHRs: capacity accounting broke somewhere.
 	for i := 0; i <= c.cfg.MSHRs; i++ {
-		c.outstanding[uint64(i)] = &inflight{issue: 0, ready: 1 << 40}
+		c.mshrs = append(c.mshrs, mshr{issue: 0, ready: 1 << 40})
+		c.mshrLines = append(c.mshrLines, uint64(i))
 	}
 	checkAfter(t, c, 100, "mshr-overflow:")
 
 	c = smallCache(t, &fakeLower{latency: 20})
-	c.outstanding[7] = &inflight{issue: 500, ready: 400}
+	c.mshrs = append(c.mshrs, mshr{issue: 500, ready: 400})
+	c.mshrLines = append(c.mshrLines, 7)
 	checkAfter(t, c, 100, "mshr-time-order:")
 }
 
@@ -64,25 +66,28 @@ func TestCheckInvariantsCatchesSetCorruption(t *testing.T) {
 		mutate(c, b)
 		checkAfter(t, c, 1_000, want)
 	}
-	// Corruptions that keep the packed tag mirror coherent, so the deeper
-	// semantic checks (not the mirror sweep) must catch them.
+	// row returns the packed tag-row slot of way wi in b's set.
+	row := func(c *Cache, b *Block, wi int) *uint64 {
+		return &c.tags[c.setIndex(b.pa)*uint64(c.cfg.Ways)+uint64(wi)]
+	}
+	// The packed row is the only copy of a block's tag: a row entry that
+	// disagrees with the block's address is a misplaced block.
 	corrupt(t, func(c *Cache, b *Block) {
-		si := c.setIndex(b.pa)
-		wi := c.findWay(si, b.tag)
-		b.tag ^= 1
-		c.tags[si*uint64(c.cfg.Ways)+uint64(wi)] = b.tag
+		wi := c.findWay(c.setIndex(b.pa), c.tag(b.pa))
+		*row(c, b, wi) ^= 1
 	}, "block-misplaced:")
+	corrupt(t, func(c *Cache, b *Block) { b.pa += mem.PAddr(c.cfg.Sets * mem.LineSize) }, "block-misplaced:")
 	corrupt(t, func(c *Cache, b *Block) { b.issue = b.ready + 10 }, "block-time-order:")
 	corrupt(t, func(c *Cache, b *Block) {
-		si := c.setIndex(b.pa)
-		set := c.sets[si]
+		set := c.sets[c.setIndex(b.pa)]
 		set[1] = *b // second way, same tag
-		c.tags[si*uint64(c.cfg.Ways)+1] = b.tag
+		*row(c, b, 1) = c.tag(b.pa)
 	}, "duplicate-tag:")
-	// A one-sided mutation desyncs the packed mirror from the blocks.
-	corrupt(t, func(c *Cache, b *Block) { b.tag ^= 1 }, "tag-desync:")
+	// Validity and the row's empty-way marker must agree both ways.
 	corrupt(t, func(c *Cache, b *Block) {
-		si := c.setIndex(b.pa)
-		c.tags[si*uint64(c.cfg.Ways)+1] = b.tag // invalid way claims a tag
+		*row(c, b, c.findWay(c.setIndex(b.pa), c.tag(b.pa))) = invalidTag
+	}, "tag-desync:")
+	corrupt(t, func(c *Cache, b *Block) {
+		*row(c, b, 1) = c.tag(b.pa) ^ 1 // invalid way claims a tag
 	}, "tag-desync:")
 }

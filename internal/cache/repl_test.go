@@ -83,10 +83,11 @@ func TestAllPoliciesPreserveInvariant(t *testing.T) {
 				continue
 			}
 			count++
-			if seen[b.tag] {
-				t.Fatalf("%s: duplicate tag %#x in set", repl, b.tag)
+			tag := c.tag(b.pa)
+			if seen[tag] {
+				t.Fatalf("%s: duplicate tag %#x in set", repl, tag)
 			}
-			seen[b.tag] = true
+			seen[tag] = true
 		}
 		if count > c.cfg.Ways {
 			t.Fatalf("%s: %d resident blocks in a %d-way set", repl, count, c.cfg.Ways)

@@ -1,68 +1,89 @@
 package core
 
+// MaxProgramFeatures caps the program features one filter combines: a Tag
+// stores their weight indexes inline, in a fixed array of this width. PPF,
+// the widest configuration the paper evaluates, uses 6.
+const MaxProgramFeatures = 8
+
+// MaxSystemFeatures caps the system features one filter combines: the width
+// of Tag.SysMask.
+const MaxSystemFeatures = 8
+
 // Tag records which weights produced one prediction so training can update
 // exactly those weights (the "hash indexes" stored alongside addresses in
-// the update buffers, §III-B). ProgIdx holds one weight-table index per
-// selected program feature; SysIdx lists the system features that were
-// active when the decision was made.
+// the update buffers, §III-B). It is a fixed-width value, like the
+// hardware's buffer entry: ProgIdx holds one weight-table index per
+// selected program feature, of which the first NumProg are meaningful, and
+// bit i of SysMask is set when the filter's i-th system feature was active
+// when the decision was made.
 type Tag struct {
-	ProgIdx []int
-	SysIdx  []int
+	ProgIdx [MaxProgramFeatures]int32
+	NumProg uint8
+	SysMask uint8
 }
 
-type ubEntry struct {
-	key   uint64 // virtual line address (vUB) or physical line address (pUB)
-	tag   Tag
-	stamp uint64
-	valid bool
-}
+// emptyKey marks a free update-buffer slot. Keys are line addresses
+// (address >> 6), which never reach it.
+const emptyKey = ^uint64(0)
 
 // UpdateBuffer is the common structure behind the Virtual and Physical
 // Update Buffers: a tiny fully-associative buffer of (address, hash
-// indexes) pairs with FIFO replacement.
+// indexes) pairs with FIFO replacement. The keys form a packed row of their
+// own, so the associative search scans 8 bytes per entry.
 type UpdateBuffer struct {
-	entries []ubEntry
-	clock   uint64
+	keys   []uint64 // line address per slot, emptyKey when free
+	stamps []uint64 // insertion clock per slot, for FIFO replacement
+	tags   []Tag
+	clock  uint64
 }
 
 // NewUpdateBuffer builds a buffer with the given capacity.
 func NewUpdateBuffer(capacity int) *UpdateBuffer {
-	return &UpdateBuffer{entries: make([]ubEntry, capacity)}
+	keys := make([]uint64, capacity)
+	for i := range keys {
+		keys[i] = emptyKey
+	}
+	return &UpdateBuffer{
+		keys:   keys,
+		stamps: make([]uint64, capacity),
+		tags:   make([]Tag, capacity),
+	}
 }
 
 // Insert records key with its tag, evicting the oldest entry when full.
 // Re-inserting an existing key refreshes its tag.
 func (b *UpdateBuffer) Insert(key uint64, tag Tag) {
 	b.clock++
-	victim := 0
-	var oldest uint64 = ^uint64(0)
-	for i := range b.entries {
-		e := &b.entries[i]
-		if e.valid && e.key == key {
-			e.tag = tag
-			e.stamp = b.clock
+	victim := -1
+	for i, k := range b.keys {
+		if k == key {
+			b.tags[i] = tag
+			b.stamps[i] = b.clock
 			return
 		}
-		if !e.valid {
-			victim = i
-			oldest = 0
-			continue
-		}
-		if oldest != 0 && e.stamp < oldest {
-			oldest = e.stamp
+		if k == emptyKey {
 			victim = i
 		}
 	}
-	b.entries[victim] = ubEntry{key: key, tag: tag, stamp: b.clock, valid: true}
+	if victim < 0 {
+		oldest := ^uint64(0)
+		for i, s := range b.stamps {
+			if s < oldest {
+				oldest, victim = s, i
+			}
+		}
+	}
+	b.keys[victim] = key
+	b.stamps[victim] = b.clock
+	b.tags[victim] = tag
 }
 
 // Take removes and returns the entry for key.
 func (b *UpdateBuffer) Take(key uint64) (Tag, bool) {
-	for i := range b.entries {
-		e := &b.entries[i]
-		if e.valid && e.key == key {
-			e.valid = false
-			return e.tag, true
+	for i, k := range b.keys {
+		if k == key {
+			b.keys[i] = emptyKey
+			return b.tags[i], true
 		}
 	}
 	return Tag{}, false
@@ -71,8 +92,8 @@ func (b *UpdateBuffer) Take(key uint64) (Tag, bool) {
 // Len counts valid entries.
 func (b *UpdateBuffer) Len() int {
 	n := 0
-	for i := range b.entries {
-		if b.entries[i].valid {
+	for _, k := range b.keys {
+		if k != emptyKey {
 			n++
 		}
 	}
@@ -80,4 +101,4 @@ func (b *UpdateBuffer) Len() int {
 }
 
 // Cap returns the capacity.
-func (b *UpdateBuffer) Cap() int { return len(b.entries) }
+func (b *UpdateBuffer) Cap() int { return len(b.keys) }

@@ -9,8 +9,8 @@ import "fmt"
 //   - every perceptron weight within its [min, max] saturation range;
 //   - every system-feature counter within its saturation range;
 //   - the threshold ladder index within the configured ladder;
-//   - the update buffers holding no more valid entries than their capacity
-//     and no duplicate keys (vUB/pUB are keyed associatively);
+//   - the update buffers holding no duplicate keys (vUB/pUB are keyed
+//     associatively);
 //   - training counters consistent (vUB hits are positive trainings).
 //
 // It returns the first violation found, nil when clean.
@@ -47,22 +47,17 @@ func (f *Filter) CheckBounds() error {
 	return nil
 }
 
-// checkBounds verifies an update buffer holds no duplicate keys and no more
-// valid entries than its capacity.
+// checkBounds verifies an update buffer holds no duplicate keys.
 func (b *UpdateBuffer) checkBounds() error {
-	if n := b.Len(); n > b.Cap() {
-		return fmt.Errorf("overflow: %d valid entries with capacity %d", n, b.Cap())
-	}
-	seen := make(map[uint64]struct{}, len(b.entries))
-	for i := range b.entries {
-		e := &b.entries[i]
-		if !e.valid {
+	seen := make(map[uint64]struct{}, len(b.keys))
+	for _, k := range b.keys {
+		if k == emptyKey {
 			continue
 		}
-		if _, dup := seen[e.key]; dup {
-			return fmt.Errorf("duplicate-key: key %#x held twice", e.key)
+		if _, dup := seen[k]; dup {
+			return fmt.Errorf("duplicate-key: key %#x held twice", k)
 		}
-		seen[e.key] = struct{}{}
+		seen[k] = struct{}{}
 	}
 	return nil
 }

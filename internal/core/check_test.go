@@ -27,8 +27,8 @@ func TestCheckBounds(t *testing.T) {
 		{func(f *Filter) { f.sysWts[0].value = f.sysWts[0].max + 1 }, "filter-counter-bounds:"},
 		{func(f *Filter) { f.level = len(f.levels) }, "filter-threshold-range:"},
 		{func(f *Filter) {
-			f.vub.entries[0] = ubEntry{key: 0x42, valid: true}
-			f.vub.entries[1] = ubEntry{key: 0x42, valid: true}
+			f.vub.keys[0] = 0x42
+			f.vub.keys[1] = 0x42
 		}, "filter-vUB-duplicate-key:"},
 		{func(f *Filter) { f.FalseNegativeHits = f.PositiveTrainings + 1 }, "filter-training-count:"},
 	}

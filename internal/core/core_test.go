@@ -1,9 +1,17 @@
 package core
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
+
+// progTag builds a tag holding the given program-feature indexes.
+func progTag(idx ...int32) Tag {
+	t := Tag{NumProg: uint8(len(idx))}
+	copy(t.ProgIdx[:], idx)
+	return t
+}
 
 func TestProgramFeatureRegistry(t *testing.T) {
 	names := ProgramFeatureNames()
@@ -139,13 +147,13 @@ func TestSatCounter(t *testing.T) {
 
 func TestUpdateBuffer(t *testing.T) {
 	b := NewUpdateBuffer(2)
-	b.Insert(1, Tag{ProgIdx: []int{10}})
-	b.Insert(2, Tag{ProgIdx: []int{20}})
+	b.Insert(1, progTag(10))
+	b.Insert(2, progTag(20))
 	if b.Len() != 2 || b.Cap() != 2 {
 		t.Fatalf("Len=%d Cap=%d", b.Len(), b.Cap())
 	}
 	// FIFO eviction: key 1 is the oldest.
-	b.Insert(3, Tag{ProgIdx: []int{30}})
+	b.Insert(3, progTag(30))
 	if _, ok := b.Take(1); ok {
 		t.Fatal("oldest entry not evicted")
 	}
@@ -158,7 +166,7 @@ func TestUpdateBuffer(t *testing.T) {
 		t.Fatal("Take should remove")
 	}
 	// Reinsert refreshes rather than duplicating.
-	b.Insert(2, Tag{ProgIdx: []int{99}})
+	b.Insert(2, progTag(99))
 	if b.Len() != 1 {
 		t.Fatalf("Len after refresh = %d", b.Len())
 	}
@@ -315,13 +323,13 @@ func TestSystemFeatureContributesOnlyWhenActive(t *testing.T) {
 	// Inactive phase: tag has no system indexes.
 	f.Tick(SystemState{STLBMissRate: 0.01})
 	_, tag := f.Decide(Input{})
-	if len(tag.SysIdx) != 0 {
+	if tag.SysMask != 0 {
 		t.Fatal("inactive system feature participated")
 	}
 	// Active phase.
 	f.Tick(SystemState{STLBMissRate: 0.9})
 	_, tag = f.Decide(Input{})
-	if len(tag.SysIdx) != 1 {
+	if bits.OnesCount8(tag.SysMask) != 1 {
 		t.Fatal("active system feature did not participate")
 	}
 }

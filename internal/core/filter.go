@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // AdaptiveConfig parameterises the epoch-based thresholding scheme (Fig. 8).
 type AdaptiveConfig struct {
@@ -129,8 +132,17 @@ func NewFilter(cfg Config) (*Filter, error) {
 	if len(cfg.ProgramFeatures) == 0 && len(cfg.SystemFeatures) == 0 {
 		return nil, fmt.Errorf("core: filter %q has no features", cfg.Name)
 	}
+	if n := len(cfg.ProgramFeatures); n > MaxProgramFeatures {
+		return nil, fmt.Errorf("core: filter %q has %d program features, at most %d fit a tag", cfg.Name, n, MaxProgramFeatures)
+	}
+	if n := len(cfg.SystemFeatures); n > MaxSystemFeatures {
+		return nil, fmt.Errorf("core: filter %q has %d system features, at most %d fit a tag", cfg.Name, n, MaxSystemFeatures)
+	}
 	if cfg.WTEntries == 0 {
 		cfg.WTEntries = 1024
+	}
+	if cfg.WTEntries-1 > math.MaxInt32 {
+		return nil, fmt.Errorf("core: filter %q weight tables of %d entries overflow a tag's int32 index", cfg.Name, cfg.WTEntries)
 	}
 	if cfg.WeightBits == 0 {
 		cfg.WeightBits = 5
@@ -235,11 +247,13 @@ func (f *Filter) Decide(in Input) (issue bool, tag Tag) {
 
 	tag = f.tagFor(in)
 	sum := 0
-	for i, idx := range tag.ProgIdx {
-		sum += f.tables[i].Weight(idx)
+	for i, idx := range tag.ProgIdx[:tag.NumProg] {
+		sum += f.tables[i].Weight(int(idx))
 	}
-	for _, si := range tag.SysIdx {
-		sum += f.sysWts[si].Value()
+	for m, si := tag.SysMask, 0; m != 0; m, si = m>>1, si+1 {
+		if m&1 != 0 {
+			sum += f.sysWts[si].Value()
+		}
 	}
 	return sum > f.effectiveThreshold(), tag
 }
@@ -278,16 +292,13 @@ func (f *Filter) effectiveThreshold() int {
 
 // tagFor computes the weight indexes of a decision.
 func (f *Filter) tagFor(in Input) Tag {
-	tag := Tag{}
-	if len(f.progs) > 0 {
-		tag.ProgIdx = make([]int, len(f.progs))
-		for i, pf := range f.progs {
-			tag.ProgIdx[i] = f.tables[i].Index(pf.Extract(in))
-		}
+	tag := Tag{NumProg: uint8(len(f.progs))}
+	for i, pf := range f.progs {
+		tag.ProgIdx[i] = int32(f.tables[i].Index(pf.Extract(in)))
 	}
 	for si, sf := range f.sysFeats {
 		if sf.Active(f.state) {
-			tag.SysIdx = append(tag.SysIdx, si)
+			tag.SysMask |= 1 << si
 		}
 	}
 	return tag
@@ -345,11 +356,13 @@ func (f *Filter) train(tag Tag, positive bool) {
 	} else {
 		f.NegativeTrainings++
 	}
-	for i, idx := range tag.ProgIdx {
-		f.tables[i].Train(idx, positive)
+	for i, idx := range tag.ProgIdx[:tag.NumProg] {
+		f.tables[i].Train(int(idx), positive)
 	}
-	for _, si := range tag.SysIdx {
-		f.sysWts[si].Train(positive)
+	for m, si := tag.SysMask, 0; m != 0; m, si = m>>1, si+1 {
+		if m&1 != 0 {
+			f.sysWts[si].Train(positive)
+		}
 	}
 }
 

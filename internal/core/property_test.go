@@ -24,15 +24,7 @@ func TestDecideIsPure(t *testing.T) {
 		in := randomInput(a, b, c)
 		i1, t1 := f.Decide(in)
 		i2, t2 := f.Decide(in)
-		if i1 != i2 || len(t1.ProgIdx) != len(t2.ProgIdx) || len(t1.SysIdx) != len(t2.SysIdx) {
-			return false
-		}
-		for i := range t1.ProgIdx {
-			if t1.ProgIdx[i] != t2.ProgIdx[i] {
-				return false
-			}
-		}
-		return true
+		return i1 == i2 && t1 == t2
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -97,7 +89,7 @@ func TestUpdateBufferInvariants(t *testing.T) {
 		for _, op := range ops {
 			key := uint64(op % 64)
 			if op&0x8000 != 0 {
-				b.Insert(key, Tag{ProgIdx: []int{int(op)}})
+				b.Insert(key, progTag(int32(op)))
 			} else {
 				b.Take(key)
 			}
@@ -106,7 +98,7 @@ func TestUpdateBufferInvariants(t *testing.T) {
 			}
 		}
 		// A freshly inserted key is retrievable exactly once.
-		b.Insert(999, Tag{ProgIdx: []int{1}})
+		b.Insert(999, progTag(1))
 		if _, ok := b.Take(999); !ok {
 			return false
 		}

@@ -26,7 +26,9 @@ type SelectionResult struct {
 // SelectFeatures runs the paper's offline feature-selection process
 // (§III-D3): evaluate every feature in isolation, sort by score, then
 // greedily add features that improve the score by more than minGain
-// (the paper uses 0.3% geomean IPC, i.e. 0.003).
+// (the paper uses 0.3% geomean IPC, i.e. 0.003). Once the selection holds
+// MaxProgramFeatures program (or MaxSystemFeatures system) features, further
+// candidates of that kind are skipped unevaluated.
 func SelectFeatures(baseCfg Config, candidates []string, minGain float64, eval EvalFunc) (*SelectionResult, error) {
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("core: no candidate features")
@@ -52,6 +54,9 @@ func SelectFeatures(baseCfg Config, candidates []string, minGain float64, eval E
 	best := res.SingleScores[res.Ranking[0]]
 	for _, name := range res.Ranking[1:] {
 		cfg := withFeatures(baseCfg, append(append([]string(nil), res.Selected...), name))
+		if len(cfg.ProgramFeatures) > MaxProgramFeatures || len(cfg.SystemFeatures) > MaxSystemFeatures {
+			continue
+		}
 		score, err := eval(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: evaluating %v: %w", cfg.ProgramFeatures, err)

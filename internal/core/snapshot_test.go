@@ -31,8 +31,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if srcIssue != dstIssue {
 		t.Fatal("restored filter decides differently")
 	}
-	for i := range srcTag.ProgIdx {
-		if src.tables[i].Weight(srcTag.ProgIdx[i]) != dst.tables[i].Weight(dstTag.ProgIdx[i]) {
+	for i := range srcTag.ProgIdx[:srcTag.NumProg] {
+		if src.tables[i].Weight(int(srcTag.ProgIdx[i])) != dst.tables[i].Weight(int(dstTag.ProgIdx[i])) {
 			t.Fatal("restored weights differ")
 		}
 	}

@@ -118,18 +118,6 @@ func TestAccessType(t *testing.T) {
 	}
 }
 
-func TestRequestDoneOnce(t *testing.T) {
-	n := 0
-	r := &Request{OnDone: func(uint64) { n++ }}
-	r.Done(10)
-	r.Done(20)
-	if n != 1 {
-		t.Fatalf("OnDone ran %d times, want exactly 1", n)
-	}
-	// Done on a request without callback must not panic.
-	(&Request{}).Done(1)
-}
-
 // Property: line/page alignment is idempotent and ordering-compatible.
 func TestAlignmentProperties(t *testing.T) {
 	idempotent := func(x uint64) bool {

@@ -50,42 +50,3 @@ func (t AccessType) String() string {
 func (t AccessType) IsDemand() bool {
 	return t == Load || t == Store || t == InstrFetch
 }
-
-// Request is a memory-hierarchy request. A request is created at the core
-// (or a prefetcher, or the page-table walker) and handed down the hierarchy.
-// Completion is signalled by invoking OnDone with the cycle at which data is
-// available.
-type Request struct {
-	// VA is the virtual address of the access. Valid for core-side requests
-	// (L1 caches are virtually indexed); zero for walker-generated reads.
-	VA VAddr
-	// PA is the physical address, filled in after translation.
-	PA PAddr
-	// PC is the program counter of the instruction that triggered the
-	// access; prefetch requests carry the PC of the triggering load.
-	PC VAddr
-	// Type is the access type.
-	Type AccessType
-	// IsPageCross marks a prefetch whose target line lies in a different
-	// 4KB page than the triggering access. Set by the prefetch framework,
-	// consumed by the page-cross filter and by the stats machinery.
-	IsPageCross bool
-	// FilterTag carries the page-cross filter's hashed indexes so that the
-	// training buffers (vUB/pUB) can update the exact weights that produced
-	// the decision. Nil for requests the filter never saw.
-	FilterTag uint64
-	// Delta is the line delta (in cache lines) between the triggering
-	// access and the prefetch target. Zero for demand accesses.
-	Delta int64
-	// OnDone, if non-nil, is invoked exactly once when the request
-	// completes, with the completion cycle.
-	OnDone func(cycle uint64)
-}
-
-// Done invokes the completion callback, if any.
-func (r *Request) Done(cycle uint64) {
-	if r.OnDone != nil {
-		r.OnDone(cycle)
-		r.OnDone = nil
-	}
-}

@@ -117,6 +117,32 @@ func TestInjectedMSHRLeakCaught(t *testing.T) {
 	}
 }
 
+// TestInjectedMSHRLeakDeterministic pins the leaked run's report: the MSHR
+// file retires its entries in a fixed order, so which fill loses its
+// release — and with it the first violation's line and cycle — is the same
+// on every run.
+func TestInjectedMSHRLeakDeterministic(t *testing.T) {
+	w, ok := trace.ByName("spec.stream_s00")
+	if !ok {
+		t.Fatal("workload missing")
+	}
+	var first string
+	for i := 0; i < 4; i++ {
+		cfg := checkConfig()
+		cfg.FaultInject = faultinject.New(faultinject.Config{MSHRLeakEveryN: 20})
+		_, err := RunWorkload(context.Background(), cfg, w)
+		ce := CheckFailure(err)
+		if ce == nil {
+			t.Fatalf("run %d returned %v, want a CheckError", i, err)
+		}
+		if i == 0 {
+			first = ce.Error()
+		} else if got := ce.Error(); got != first {
+			t.Fatalf("run %d reported\n%s\nrun 0 reported\n%s", i, got, first)
+		}
+	}
+}
+
 // TestInjectedTLBStalePTECaught is the second acceptance bug: a dTLB entry
 // whose cached frame no longer matches the page table must be caught by the
 // TLB ⇒ valid-PTE cross-check, with a minimal repro emitted.

@@ -203,13 +203,6 @@ type System struct {
 	L1IPf  prefetch.Prefetcher
 	Policy core.Policy
 
-	// Devirtualized Train dispatch (prefetch.TrainFunc): the per-access hot
-	// paths call these method values instead of the Prefetcher interface.
-	// nil exactly when the corresponding engine is nil.
-	l1dTrain func(prefetch.Access) []prefetch.Candidate
-	l1iTrain func(prefetch.Access) []prefetch.Candidate
-	l2cTrain func(prefetch.Access) []prefetch.Candidate
-
 	// Metrics is the unified registry every component reports through; see
 	// registerMetrics. Tracer is non-nil only when Config.TraceCapacity > 0.
 	Metrics *metrics.Registry
@@ -421,9 +414,6 @@ func newSystem(cfg Config, sharedLLC *cache.Cache, sharedDRAM *dram.DRAM) (*Syst
 	if s.Policy, err = newPolicy(cfg); err != nil {
 		return nil, err
 	}
-	s.l1dTrain = prefetch.TrainFunc(s.L1DPf)
-	s.l1iTrain = prefetch.TrainFunc(s.L1IPf)
-	s.l2cTrain = prefetch.TrainFunc(s.L2CPf)
 
 	// L1D hooks feed the filter's training (Fig. 7).
 	s.L1D.OnDemandMiss = func(req *cache.Request) {
@@ -495,7 +485,7 @@ func (a *l2Adapter) Access(req *cache.Request, cycle uint64) uint64 {
 	ready := s.L2C.Access(req, cycle)
 	if req.Type.IsDemand() && req.Type != mem.InstrFetch {
 		hit := s.L2C.Stats.DemandMisses == missesBefore
-		cands := s.l2cTrain(prefetch.Access{
+		cands := s.L2CPf.Train(prefetch.Access{
 			Addr: uint64(req.PA), PC: uint64(req.PC), Cycle: cycle, Hit: hit,
 		})
 		s.mL2CCandidates.Add(uint64(len(cands)))
@@ -523,8 +513,8 @@ func (s *System) fetch(pc uint64, cycle uint64) uint64 {
 	s.fetchReq = cache.Request{PA: pa, VA: mem.VAddr(pc), PC: mem.VAddr(pc), Type: mem.InstrFetch}
 	ready := s.L1I.Access(&s.fetchReq, res.Ready)
 
-	if s.l1iTrain != nil {
-		icands := s.l1iTrain(prefetch.Access{Addr: pc, PC: pc, Cycle: cycle})
+	if s.L1IPf != nil {
+		icands := s.L1IPf.Train(prefetch.Access{Addr: pc, PC: pc, Cycle: cycle})
 		s.mL1ICandidates.Add(uint64(len(icands)))
 		for _, c := range icands {
 			if c.CrossesPage(pc) {
@@ -571,12 +561,12 @@ func (s *System) demandAccess(pc, va uint64, cycle uint64, kind mem.AccessType) 
 		s.seenPages[page] = struct{}{}
 	}
 
-	if s.l1dTrain != nil {
+	if s.L1DPf != nil {
 		if !hit {
 			s.L1DPf.FillLatency(ready - cycle)
 		}
 		s.mL1DTrains.Inc()
-		cands := s.l1dTrain(prefetch.Access{Addr: va, PC: pc, Cycle: cycle, Hit: hit})
+		cands := s.L1DPf.Train(prefetch.Access{Addr: va, PC: pc, Cycle: cycle, Hit: hit})
 		s.mL1DCandidates.Add(uint64(len(cands)))
 		s.issuePrefetches(pc, va, !seen, res.Translation.Kind, cands, cycle)
 	}
