@@ -52,7 +52,7 @@ func main() {
 		samplePer = flag.Uint64("sample-period", 0, "with -sample, sampling period in instructions (0 = default)")
 		wdlFiles  = flag.String("workload-file", "", "comma-separated .wdl files; their workloads replace the registry set in workload-driven experiments")
 		chpsTrcs  = flag.String("champsim-trace", "", "comma-separated ChampSim trace files, used as workloads in workload-driven experiments")
-		backend   = flag.String("backend", "local", "execution backend: local (in-process pool), procs[:N] (worker subprocesses sharing the cache), or daemon:<addr> (a running pgcd)")
+		backend   = flag.String("backend", "local", "execution backend: local (in-process pool) or procs[:N] (worker subprocesses sharing the cache)")
 	)
 	flag.Parse()
 

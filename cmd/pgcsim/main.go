@@ -59,7 +59,7 @@ func main() {
 		check      = flag.Bool("check", false, "run the lockstep functional oracle and invariant sweeps; violations fail the run")
 		checkFF    = flag.Bool("check-failfast", false, "with -check, abort at the first violation instead of accumulating")
 		cacheDir   = flag.String("cache-dir", "", "content-addressed result cache shared with cmd/experiments; a hit skips the simulation (ignored when -metrics-out/-trace-out/-pprof/-trace need a live system)")
-		backend    = flag.String("backend", "local", "execution backend: local (in-process), procs[:N] (worker subprocesses), or daemon:<addr> (a running pgcd); non-local backends run the workload as a one-cell campaign")
+		backend    = flag.String("backend", "local", "execution backend: local (in-process) or procs[:N] (worker subprocesses); procs runs the workload as a one-cell campaign")
 	)
 	flag.Parse()
 
@@ -183,7 +183,7 @@ func main() {
 
 	// A non-local backend runs the workload as a one-cell campaign: the
 	// engine keeps scheduling, caching and retries; the backend only
-	// executes the cell (in a worker subprocess or a remote pgcd).
+	// executes the cell (in a worker subprocess).
 	if *backend != "" && *backend != "local" {
 		if *traceFile != "" {
 			fmt.Fprintln(os.Stderr, "pgcsim: -trace needs a live in-process system; use -backend local")
@@ -292,7 +292,7 @@ func runBackend(ctx context.Context, spec string, cfg sim.Config, w trace.Worklo
 		campaign.WithBackend(bk),
 		campaign.WithWorkers(1),
 		// Surface the backend's lifecycle on stderr: worker churn and
-		// retries are exactly what an operator of procs/daemon mode needs
+		// retries are exactly what an operator of procs mode needs
 		// to see, and they never pollute the stdout report.
 		campaign.WithEvents(func(ev campaign.Event) {
 			switch ev.Kind {

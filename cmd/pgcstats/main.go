@@ -1,6 +1,7 @@
 // Command pgcstats batch-runs a workload set under one configuration and
 // emits per-workload statistics as CSV, for spreadsheet or plotting
-// pipelines.
+// pipelines. The batch is one campaign (a cell per workload) run through
+// the campaign engine.
 //
 // Examples:
 //
@@ -13,11 +14,11 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"strconv"
-	"sync"
 
+	"repro/internal/campaign"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -53,72 +54,62 @@ func main() {
 		wls = wls[:*maxN]
 	}
 
-	par := *parallel
-	if par <= 0 {
-		par = runtime.NumCPU()
-	}
-
-	results := make([]*stats.Run, len(wls))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, par)
-	var firstErr error
-	var mu sync.Mutex
-	for i, w := range wls {
-		wg.Add(1)
-		go func(i int, w trace.Workload) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cfg := sim.DefaultConfig()
-			cfg.Policy = sim.PolicyKind(*policy)
-			cfg.L1DPrefetcher = *prefetcher
-			cfg.WarmupInstrs = *warmup
-			cfg.SimInstrs = *instrs
-			run, err := sim.RunWorkload(context.Background(), cfg, w)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s: %w", w.Name, err)
-				}
-				mu.Unlock()
-				return
-			}
-			results[i] = run
-		}(i, w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		fmt.Fprintf(os.Stderr, "pgcstats: %v\n", firstErr)
+	cfg := sim.DefaultConfig()
+	cfg.Policy = sim.PolicyKind(*policy)
+	cfg.L1DPrefetcher = *prefetcher
+	cfg.WarmupInstrs = *warmup
+	cfg.SimInstrs = *instrs
+	if err := writeCSV(os.Stdout, cfg, wls, *parallel); err != nil {
+		fmt.Fprintf(os.Stderr, "pgcstats: %v\n", err)
 		os.Exit(1)
 	}
+}
 
-	cw := csv.NewWriter(os.Stdout)
-	defer cw.Flush()
+// writeCSV runs every workload under cfg on par campaign workers (0 =
+// NumCPU) and writes one CSV row per workload, in wls order, to w. Nothing
+// is written unless every cell completes.
+func writeCSV(w io.Writer, cfg sim.Config, wls []trace.Workload, par int) error {
+	spec := campaign.Spec{Name: "pgcstats"}
+	for _, wl := range wls {
+		spec.Cells = append(spec.Cells, campaign.Cell{ID: wl.Name, Config: cfg, Workload: wl})
+	}
+	rep, err := campaign.Run(context.Background(), spec, campaign.WithWorkers(par))
+	if err != nil {
+		return err
+	}
+	if err := rep.Err(); err != nil {
+		return err
+	}
+
+	cw := csv.NewWriter(w)
 	header := []string{"workload", "suite", "weight", "ipc",
 		"l1d_mpki", "l2c_mpki", "llc_mpki", "dtlb_mpki", "stlb_mpki", "l1i_mpki",
 		"pf_fills", "pf_accuracy", "pgc_issued", "pgc_dropped", "pgc_useful",
 		"pgc_useless", "walks", "spec_walks", "branch_mpki"}
 	if err := cw.Write(header); err != nil {
-		fmt.Fprintf(os.Stderr, "pgcstats: %v\n", err)
-		os.Exit(1)
+		return err
 	}
+	for _, wl := range wls {
+		if err := cw.Write(row(wl, rep.Runs[wl.Name])); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// row renders one workload's statistics as a CSV record.
+func row(w trace.Workload, r *stats.Run) []string {
 	f := func(x float64) string { return strconv.FormatFloat(x, 'f', 4, 64) }
 	u := func(x uint64) string { return strconv.FormatUint(x, 10) }
-	for i, w := range wls {
-		r := results[i]
-		row := []string{
-			w.Name, w.Suite, f(w.Weight), f(r.IPC()),
-			f(r.MPKI("l1d")), f(r.MPKI("l2c")), f(r.MPKI("llc")),
-			f(r.MPKI("dtlb")), f(r.MPKI("stlb")), f(r.MPKI("l1i")),
-			u(r.L1D.PrefetchFills), f(r.L1D.PrefetchAccuracy()),
-			u(r.L1D.PGCIssued), u(r.L1D.PGCDropped),
-			u(r.L1D.PGCUseful), u(r.L1D.PGCUseless),
-			u(r.PTW.Walks), u(r.PTW.SpeculativeWalks),
-			f(float64(r.Core.Mispredicts) * 1000 / float64(r.Core.Instructions+1)),
-		}
-		if err := cw.Write(row); err != nil {
-			fmt.Fprintf(os.Stderr, "pgcstats: %v\n", err)
-			os.Exit(1)
-		}
+	return []string{
+		w.Name, w.Suite, f(w.Weight), f(r.IPC()),
+		f(r.MPKI("l1d")), f(r.MPKI("l2c")), f(r.MPKI("llc")),
+		f(r.MPKI("dtlb")), f(r.MPKI("stlb")), f(r.MPKI("l1i")),
+		u(r.L1D.PrefetchFills), f(r.L1D.PrefetchAccuracy()),
+		u(r.L1D.PGCIssued), u(r.L1D.PGCDropped),
+		u(r.L1D.PGCUseful), u(r.L1D.PGCUseless),
+		u(r.PTW.Walks), u(r.PTW.SpeculativeWalks),
+		f(float64(r.Core.Mispredicts) * 1000 / float64(r.Core.Instructions+1)),
 	}
 }

@@ -1,0 +1,61 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/csv"
+	"reflect"
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// TestWriteCSVMatchesDirectRuns runs the CSV path on two seen workloads at
+// a small budget: the header comes first, then one row per workload in set
+// order, each equal to the row built from a direct sim.RunWorkload under
+// the same config.
+func TestWriteCSVMatchesDirectRuns(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.WarmupInstrs, cfg.SimInstrs = 2_000, 5_000
+	wls := trace.Seen()[:2]
+
+	var out bytes.Buffer
+	if err := writeCSV(&out, cfg, wls, 2); err != nil {
+		t.Fatalf("writeCSV: %v", err)
+	}
+	recs, err := csv.NewReader(&out).ReadAll()
+	if err != nil {
+		t.Fatalf("parsing CSV: %v", err)
+	}
+	if len(recs) != 1+len(wls) {
+		t.Fatalf("got %d CSV records, want header + %d rows", len(recs), len(wls))
+	}
+	if recs[0][0] != "workload" || len(recs[0]) != len(recs[1]) {
+		t.Fatalf("header = %v", recs[0])
+	}
+	for i, w := range wls {
+		run, err := sim.RunWorkload(context.Background(), cfg, w)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if want := row(w, run); !reflect.DeepEqual(recs[1+i], want) {
+			t.Fatalf("row %d:\n got  %v\n want %v", i, recs[1+i], want)
+		}
+	}
+}
+
+// TestWriteCSVReportsFailedCell checks that a failing cell surfaces from
+// the campaign's failure ledger and suppresses the CSV.
+func TestWriteCSVReportsFailedCell(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.WarmupInstrs, cfg.SimInstrs = 2_000, 5_000
+	cfg.Policy = "no-such-policy"
+	var out bytes.Buffer
+	if err := writeCSV(&out, cfg, trace.Seen()[:1], 1); err == nil {
+		t.Fatal("writeCSV accepted an unknown policy")
+	}
+	if out.Len() != 0 {
+		t.Fatalf("failed batch wrote %q", out.String())
+	}
+}

@@ -2,7 +2,7 @@
 // (engine.go) owns everything that must be backend-independent — DAG
 // scheduling, the content-addressed cache, the resume manifest, the
 // retry/failure ledger — and delegates only the question "run this cell
-// once, somewhere" to a Backend. Three implementations ship:
+// once, somewhere" to a Backend. Two implementations ship:
 //
 //   - Local() executes cells in-process on the calling goroutine (the
 //     engine's work-stealing pool provides the concurrency). This is the
@@ -11,8 +11,6 @@
 //     length-prefixed JSON over stdio; a crashed worker surfaces as a
 //     retryable error, so the engine's recover/retry ledger re-runs the
 //     cell on another shard.
-//   - NewDaemonBackend drives a running pgcd daemon over its HTTP/JSON
-//     wire, turning daemon instances into shard executors.
 //
 // All backends feed one aggregator through the typed Event stream
 // (WithEvents): the engine publishes cell lifecycle events, backends
@@ -40,12 +38,12 @@ type Backend interface {
 	// per core (length 1 for single-core cells). ctx carries the
 	// campaign's cancellation and the per-cell RunTimeout. Worker
 	// lifecycle events (joined, died) are published to emit. Errors that
-	// advertise Retryable() true (a crashed worker, a rate-limited
-	// daemon) are retried by the engine up to Exec.Retries; everything
-	// else lands in the failure ledger.
+	// advertise Retryable() true (a crashed worker) are retried by the
+	// engine up to Exec.Retries; everything else lands in the failure
+	// ledger.
 	ExecuteCell(ctx context.Context, c *Cell, emit EventSink) ([]*stats.Run, error)
-	// Close tears down whatever the backend spawned (subprocesses,
-	// connections). Idempotent; ExecuteCell after Close errors.
+	// Close tears down whatever the backend spawned (subprocesses).
+	// Idempotent; ExecuteCell after Close errors.
 	Close() error
 }
 
@@ -70,7 +68,7 @@ const (
 	EventCellCompleted EventKind = "cell-completed"
 	EventCellFailed    EventKind = "cell-failed"
 	// EventWorkerJoined / EventWorkerDied: an execution worker (a
-	// subprocess, a daemon connection) became available / was lost.
+	// subprocess) became available / was lost.
 	EventWorkerJoined EventKind = "worker-joined"
 	EventWorkerDied   EventKind = "worker-died"
 )
@@ -117,7 +115,7 @@ func (s *eventSink) emit(ev Event) {
 }
 
 // backendError is a typed execution-layer failure with an explicit
-// retryability verdict — the error proc and daemon backends return for
+// retryability verdict — the error the proc backend returns for
 // transport-level failures (sim.Retryable sees the Retryable method
 // through any wrapping).
 type backendError struct {
@@ -127,11 +125,6 @@ type backendError struct {
 
 func (e *backendError) Error() string   { return e.msg }
 func (e *backendError) Retryable() bool { return e.retryable }
-
-// retryableErrorf builds a retryable backend error.
-func retryableErrorf(format string, args ...any) error {
-	return &backendError{msg: fmt.Sprintf(format, args...), retryable: true}
-}
 
 // fatalErrorf builds a non-retryable backend error.
 func fatalErrorf(format string, args ...any) error {
@@ -144,7 +137,6 @@ func fatalErrorf(format string, args ...any) error {
 //	local            in-process pool (the default; returns nil)
 //	procs            one worker subprocess per engine worker
 //	procs:N          N worker subprocesses
-//	daemon:<addr>    a running pgcd daemon at addr (host:port or URL)
 //
 // workers is the engine pool width the caller will run with (0 = NumCPU);
 // "procs" without a count sizes its fleet to match. A nil Backend with a
@@ -161,13 +153,7 @@ func ParseBackend(spec string, workers int) (Backend, error) {
 			return nil, fmt.Errorf("campaign: -backend procs:N needs a positive worker count, got %q", spec)
 		}
 		return NewProcBackend(ProcConfig{Workers: n}), nil
-	case strings.HasPrefix(spec, "daemon:"):
-		addr := strings.TrimPrefix(spec, "daemon:")
-		if addr == "" {
-			return nil, fmt.Errorf("campaign: -backend daemon:<addr> needs an address")
-		}
-		return NewDaemonBackend(addr), nil
 	default:
-		return nil, fmt.Errorf("campaign: unknown backend %q (want local, procs[:N] or daemon:<addr>)", spec)
+		return nil, fmt.Errorf("campaign: unknown backend %q (want local or procs[:N])", spec)
 	}
 }

@@ -3,7 +3,9 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -78,7 +80,7 @@ func TestParseBackend(t *testing.T) {
 			t.Fatalf("ParseBackend(%q) = %v, %v; want nil, nil", spec, bk, err)
 		}
 	}
-	for _, spec := range []string{"procs", "procs:3", "daemon:localhost:1", "daemon:http://localhost:1"} {
+	for _, spec := range []string{"procs", "procs:3"} {
 		bk, err := ParseBackend(spec, 4)
 		if err != nil || bk == nil {
 			t.Fatalf("ParseBackend(%q) = %v, %v; want backend, nil", spec, bk, err)
@@ -93,7 +95,7 @@ func TestParseBackend(t *testing.T) {
 		}
 		bk.Close()
 	}
-	for _, spec := range []string{"procs:", "procs:0", "procs:-1", "procs:x", "daemon:", "bogus"} {
+	for _, spec := range []string{"procs:", "procs:0", "procs:-1", "procs:x", "daemon:", "daemon:localhost:1", "bogus"} {
 		if _, err := ParseBackend(spec, 4); err == nil {
 			t.Fatalf("ParseBackend(%q) accepted", spec)
 		}
@@ -297,6 +299,62 @@ func TestEventStream(t *testing.T) {
 			t.Fatalf("warm run emitted %s for %s, want %s", ev.Kind, ev.Cell, EventCellCached)
 		}
 	}
+
+	// Progress is a count over the stream: every cell retires with exactly
+	// one terminal event, and the terminal counts by kind are the report's
+	// accounting. One cell each is cached, resumed, simulated and failed.
+	t.Run("terminal-per-cell", func(t *testing.T) {
+		spec := tinySpec(t, 4)
+		cached, resumed, doomed := spec.Cells[0], spec.Cells[1], spec.Cells[3].ID
+		dir, manifest := t.TempDir(), filepath.Join(t.TempDir(), "m.jsonl")
+		if _, err := Run(context.Background(), Spec{Cells: []Cell{cached}}, WithCache(dir)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(context.Background(), Spec{Cells: []Cell{resumed}}, WithResume(manifest)); err != nil {
+			t.Fatal(err)
+		}
+		var events []Event
+		rep, err := Run(context.Background(), spec, WithWorkers(2), WithCache(dir), WithResume(manifest),
+			WithCellFault(func(_ context.Context, id string, _ int) error {
+				if id == doomed {
+					return errors.New("injected, permanent")
+				}
+				return nil
+			}),
+			WithEvents(func(ev Event) { events = append(events, ev) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		terminal := map[EventKind]int{}
+		perCell := map[string]int{}
+		for i, ev := range events {
+			if ev.Seq != uint64(i+1) {
+				t.Fatalf("event %d has seq %d; want a gapless total order", i, ev.Seq)
+			}
+			switch ev.Kind {
+			case EventCellCompleted, EventCellCached, EventCellResumed, EventCellFailed:
+				terminal[ev.Kind]++
+				perCell[ev.Cell]++
+			}
+		}
+		for _, c := range spec.Cells {
+			if perCell[c.ID] != 1 {
+				t.Fatalf("cell %s retired with %d terminal events, want 1", c.ID, perCell[c.ID])
+			}
+		}
+		want := map[EventKind]int{
+			EventCellCompleted: rep.Simulated, EventCellCached: rep.CacheHits,
+			EventCellResumed: rep.Resumed, EventCellFailed: len(rep.Failures),
+		}
+		for kind, n := range want {
+			if terminal[kind] != n || n != 1 {
+				t.Fatalf("%s events = %d, report counts %d; want 1 each (terminal %v)", kind, terminal[kind], n, terminal)
+			}
+		}
+		if done := len(perCell); done != rep.Total {
+			t.Fatalf("final done = %d, want Total %d", done, rep.Total)
+		}
+	})
 }
 
 // TestProcsEmitsWorkerLifecycle asserts the proc backend publishes worker

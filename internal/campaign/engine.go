@@ -38,13 +38,6 @@ type Exec struct {
 	// present (with a matching content key) are resumed without
 	// simulation.
 	ResumeManifest string
-	// OnProgress, when non-nil, is invoked after every retired cell
-	// (completed or ledgered) with a consistent snapshot of the campaign's
-	// progress counters. It is called outside the engine's locks, at most
-	// once per cell, from whichever worker retired the cell — callbacks
-	// must be safe for concurrent use and should return quickly (a slow
-	// callback stalls that worker, nothing else).
-	OnProgress func(Progress)
 	// CellFault, when non-nil, is consulted before every simulation
 	// attempt (including retries) and its non-nil error is treated exactly
 	// like a simulation failure: retried when sim.Retryable, ledgered
@@ -61,8 +54,11 @@ type Exec struct {
 	// OnEvent, when non-nil, receives the campaign's typed event stream:
 	// cell lifecycle events from the engine and worker lifecycle events
 	// from the backend, serialised into one totally ordered sequence.
-	// Like OnProgress it is called from worker goroutines — callbacks must
-	// be safe for concurrent use and return quickly.
+	// Every cell that retires produces exactly one terminal event
+	// (completed, cached, resumed or failed), so progress is a count over
+	// the stream. It is called from worker goroutines under the sink's
+	// lock — callbacks must return quickly and must not block on campaign
+	// progress.
 	OnEvent func(Event)
 }
 
@@ -95,9 +91,6 @@ func WithRetries(n int, backoff time.Duration) Option {
 // WithRunTimeout bounds each cell's wall-clock time.
 func WithRunTimeout(d time.Duration) Option { return func(e *Exec) { e.RunTimeout = d } }
 
-// WithProgress installs a per-cell progress callback (see Exec.OnProgress).
-func WithProgress(fn func(Progress)) Option { return func(e *Exec) { e.OnProgress = fn } }
-
 // WithCellFault installs an execution-layer fault hook consulted before
 // every simulation attempt (see Exec.CellFault).
 func WithCellFault(fn func(ctx context.Context, cellID string, attempt int) error) Option {
@@ -111,21 +104,6 @@ func WithBackend(b Backend) Option { return func(e *Exec) { e.Backend = b } }
 // WithEvents installs a callback for the campaign's typed event stream
 // (see Exec.OnEvent).
 func WithEvents(fn func(Event)) Option { return func(e *Exec) { e.OnEvent = fn } }
-
-// Progress is one OnProgress snapshot: how much of the campaign has
-// retired, partitioned by where each cell's result came from. Done counts
-// both completions and ledgered failures, so Done == Total exactly when the
-// campaign has drained.
-type Progress struct {
-	Done      int `json:"done"`
-	Total     int `json:"total"`
-	Simulated int `json:"simulated"`
-	CacheHits int `json:"cache_hits"`
-	Resumed   int `json:"resumed"`
-	Failed    int `json:"failed"`
-	// LastCell is the cell whose retirement triggered this snapshot.
-	LastCell string `json:"last_cell,omitempty"`
-}
 
 // Failure is one failure-ledger entry: which cell failed, with what error,
 // after how many attempts.
@@ -479,7 +457,6 @@ func (e *engine) exec(ci int) {
 		if ent, ok := e.resumed[string(key)]; ok {
 			e.record(c, ent.Runs, &e.rep.Resumed)
 			e.events.emit(Event{Kind: EventCellResumed, Cell: c.ID})
-			e.notify(c.ID)
 			return
 		}
 		if e.store != nil {
@@ -487,7 +464,6 @@ func (e *engine) exec(ci int) {
 				e.record(c, runs, &e.rep.CacheHits)
 				e.checkpoint(c.ID, key, runs)
 				e.events.emit(Event{Kind: EventCellCached, Cell: c.ID})
-				e.notify(c.ID)
 				return
 			}
 		}
@@ -502,7 +478,6 @@ func (e *engine) exec(ci int) {
 		e.rep.Failures = append(e.rep.Failures, Failure{ID: c.ID, Attempts: attempts, Err: err})
 		e.mu.Unlock()
 		e.events.emit(Event{Kind: EventCellFailed, Cell: c.ID, Attempt: attempts, Err: err.Error()})
-		e.notify(c.ID)
 		return
 	}
 	e.record(c, runs, &e.rep.Simulated)
@@ -514,27 +489,6 @@ func (e *engine) exec(ci int) {
 		}
 		e.checkpoint(c.ID, key, runs)
 	}
-	e.notify(c.ID)
-}
-
-// notify delivers one Progress snapshot for a just-retired cell. The
-// snapshot is assembled under the report lock, delivered outside it.
-func (e *engine) notify(cellID string) {
-	if e.ex.OnProgress == nil {
-		return
-	}
-	e.mu.Lock()
-	p := Progress{
-		Total:     e.rep.Total,
-		Simulated: e.rep.Simulated,
-		CacheHits: e.rep.CacheHits,
-		Resumed:   e.rep.Resumed,
-		Failed:    len(e.rep.Failures),
-		LastCell:  cellID,
-	}
-	e.mu.Unlock()
-	p.Done = p.Simulated + p.CacheHits + p.Resumed + p.Failed
-	e.ex.OnProgress(p)
 }
 
 func (e *engine) record(c *Cell, runs []*stats.Run, counter *int) {

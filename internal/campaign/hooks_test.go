@@ -11,44 +11,6 @@ import (
 	"repro/internal/faultinject"
 )
 
-// TestProgressCallback verifies the OnProgress contract: one call per
-// retired cell, monotonically non-decreasing Done, and a final snapshot
-// accounting for every cell.
-func TestProgressCallback(t *testing.T) {
-	spec := tinySpec(t, 3)
-	var mu sync.Mutex
-	var snaps []Progress
-	rep, err := Run(context.Background(), spec,
-		WithWorkers(2),
-		WithProgress(func(p Progress) {
-			mu.Lock()
-			snaps = append(snaps, p)
-			mu.Unlock()
-		}))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !rep.Complete() {
-		t.Fatalf("campaign incomplete: %+v", rep)
-	}
-	if len(snaps) != 3 {
-		t.Fatalf("got %d progress callbacks, want 3 (one per cell)", len(snaps))
-	}
-	last := 0
-	for i, p := range snaps {
-		if p.Total != 3 {
-			t.Fatalf("snapshot %d: Total = %d, want 3", i, p.Total)
-		}
-		if p.Done < last {
-			t.Fatalf("snapshot %d: Done went backwards (%d after %d)", i, p.Done, last)
-		}
-		last = p.Done
-	}
-	if last != 3 {
-		t.Fatalf("final Done = %d, want 3", last)
-	}
-}
-
 // TestCellFaultRetries verifies that transient CellFault errors are retried
 // like simulation failures and leave the results untouched.
 func TestCellFaultRetries(t *testing.T) {

@@ -442,20 +442,26 @@ func (s *Server) jobDeadline(j *job) time.Duration {
 	return d
 }
 
-// execOptions assembles the campaign execution policy for one job.
+// execOptions assembles the campaign execution policy for one job. The
+// job's progress is counted from the run's event stream, starting afresh
+// like the report the run ends in; every retired cell also beats the
+// job's watchdog heartbeat.
 func (s *Server) execOptions(j *job) []campaign.Option {
+	p := Progress{Total: len(j.comp.spec.Cells)}
 	opts := []campaign.Option{
 		campaign.WithWorkers(s.cfg.Workers),
 		campaign.WithRetries(s.cfg.Retries, s.cfg.RetryBackoff),
 		campaign.WithRunTimeout(s.cfg.RunTimeout),
 		campaign.WithResume(s.manifestPath(j.rec.ID)),
-		campaign.WithProgress(func(p campaign.Progress) {
-			j.mu.Lock()
-			j.rec.Progress = p
-			j.lastBeat = time.Now()
-			j.mu.Unlock()
+		campaign.WithEvents(func(ev campaign.Event) {
+			s.met.onEvent(ev)
+			if p.count(ev) { // the sink serialises events, so p needs no lock
+				j.mu.Lock()
+				j.rec.Progress = p
+				j.lastBeat = time.Now()
+				j.mu.Unlock()
+			}
 		}),
-		campaign.WithEvents(s.met.onEvent),
 	}
 	if s.cfg.Backend != nil {
 		opts = append(opts, campaign.WithBackend(s.cfg.Backend))
@@ -500,11 +506,7 @@ func (s *Server) finish(j *job, rep *campaign.Report, err error) {
 		// Partial results are still results: an interrupted or failed job
 		// serves what it completed, and the manifest covers the rest.
 		j.rec.Result = resultOf(rep)
-		j.rec.Progress = campaign.Progress{
-			Total: rep.Total, Simulated: rep.Simulated, CacheHits: rep.CacheHits,
-			Resumed: rep.Resumed, Failed: len(rep.Failures),
-		}
-		j.rec.Progress.Done = rep.Simulated + rep.CacheHits + rep.Resumed + len(rep.Failures)
+		j.rec.Progress.settle(rep)
 	}
 	j.mu.Unlock()
 	if rep != nil {

@@ -161,6 +161,56 @@ func TestSubmitRunAndWarmResubmit(t *testing.T) {
 	}
 }
 
+// TestFinishedJobProgress pins the progress a job reports once finished:
+// counted from the campaign's event stream while running, it ends equal to
+// the accounting of the job's report, keeps the wire field set, and its
+// last_cell names a cell of the spec.
+func TestFinishedJobProgress(t *testing.T) {
+	_, ts := openTest(t, testConfig(t))
+	submit(t, ts, `{"id":"warmup","cells":[{"id":"a","workload":"spec.stream_s00"}],"wait_ms":15000}`)
+	// One warm and one cold cell: the job runs on the queue, not inline.
+	_, sr := submit(t, ts, `{"id":"mixed","cells":[
+		{"id":"a","workload":"spec.stream_s00"},
+		{"id":"b","workload":"spec.pagehop_s00"}],"wait_ms":15000}`)
+	if sr.State != JobDone || sr.Result == nil {
+		t.Fatalf("state = %s (error %q), want done with a result", sr.State, sr.JobStatus.Error)
+	}
+	res := sr.Result
+	want := Progress{
+		Done: 2, Total: 2, Simulated: res.Simulated, CacheHits: res.CacheHits,
+		Resumed: res.Resumed, Failed: len(res.Failures), LastCell: sr.Progress.LastCell,
+	}
+	if res.Simulated != 1 || res.CacheHits != 1 {
+		t.Fatalf("result simulated=%d cache_hits=%d, want 1/1", res.Simulated, res.CacheHits)
+	}
+	if got := getStatus(t, ts, "mixed").Progress; got != want {
+		t.Fatalf("status progress = %+v, want %+v", got, want)
+	}
+	if want.LastCell != "a" && want.LastCell != "b" {
+		t.Fatalf("last_cell = %q, want a cell of the spec", want.LastCell)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/campaigns/mixed")
+	if err != nil {
+		t.Fatalf("status: %v", err)
+	}
+	defer resp.Body.Close()
+	var wire struct {
+		Progress map[string]json.RawMessage `json:"progress"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+		t.Fatalf("decoding status: %v", err)
+	}
+	for _, k := range []string{"done", "total", "simulated", "cache_hits", "resumed", "failed", "last_cell"} {
+		if _, ok := wire.Progress[k]; !ok {
+			t.Fatalf("progress wire lacks %q: %v", k, wire.Progress)
+		}
+	}
+	if len(wire.Progress) != 7 {
+		t.Fatalf("progress wire has %d fields, want 7: %v", len(wire.Progress), wire.Progress)
+	}
+}
+
 func TestSubmitRejectsInvalid(t *testing.T) {
 	s, ts := openTest(t, testConfig(t))
 	for name, body := range map[string]string{

@@ -46,6 +46,51 @@ func (st JobState) terminal() bool {
 	return false
 }
 
+// Progress is how much of a job's campaign has retired, partitioned by
+// where each cell's result came from. Done counts both completions and
+// ledgered failures, so Done == Total exactly when the campaign has drained.
+type Progress struct {
+	Done      int `json:"done"`
+	Total     int `json:"total"`
+	Simulated int `json:"simulated"`
+	CacheHits int `json:"cache_hits"`
+	Resumed   int `json:"resumed"`
+	Failed    int `json:"failed"`
+	// LastCell is the most recently retired cell.
+	LastCell string `json:"last_cell,omitempty"`
+}
+
+// count folds one campaign event into p and reports whether it retired a
+// cell: the engine emits exactly one terminal event (completed, cached,
+// resumed or failed) per retired cell.
+func (p *Progress) count(ev campaign.Event) bool {
+	switch ev.Kind {
+	case campaign.EventCellCompleted:
+		p.Simulated++
+	case campaign.EventCellCached:
+		p.CacheHits++
+	case campaign.EventCellResumed:
+		p.Resumed++
+	case campaign.EventCellFailed:
+		p.Failed++
+	default:
+		return false
+	}
+	p.Done++
+	p.LastCell = ev.Cell
+	return true
+}
+
+// settle overwrites p's counts with a finished campaign's report, the
+// authoritative account of the run; LastCell is kept.
+func (p *Progress) settle(rep *campaign.Report) {
+	*p = Progress{
+		Done:  rep.Simulated + rep.CacheHits + rep.Resumed + len(rep.Failures),
+		Total: rep.Total, Simulated: rep.Simulated, CacheHits: rep.CacheHits,
+		Resumed: rep.Resumed, Failed: len(rep.Failures), LastCell: p.LastCell,
+	}
+}
+
 // JobFailure is one failure-ledger entry of a job's result.
 type JobFailure struct {
 	Cell     string `json:"cell"`
@@ -69,27 +114,27 @@ type JobResult struct {
 // file per job under stateDir/jobs, rewritten atomically on every state
 // transition.
 type jobRecord struct {
-	ID          string            `json:"id"`
-	Client      string            `json:"client"`
-	Name        string            `json:"name,omitempty"`
-	State       JobState          `json:"state"`
-	SubmittedAt time.Time         `json:"submitted_at"`
-	Request     CampaignRequest   `json:"request"`
-	Progress    campaign.Progress `json:"progress"`
-	Error       string            `json:"error,omitempty"`
-	Result      *JobResult        `json:"result,omitempty"`
+	ID          string          `json:"id"`
+	Client      string          `json:"client"`
+	Name        string          `json:"name,omitempty"`
+	State       JobState        `json:"state"`
+	SubmittedAt time.Time       `json:"submitted_at"`
+	Request     CampaignRequest `json:"request"`
+	Progress    Progress        `json:"progress"`
+	Error       string          `json:"error,omitempty"`
+	Result      *JobResult      `json:"result,omitempty"`
 }
 
 // JobStatus is the wire form of a job's current state (no runs — those are
 // served by the result endpoint).
 type JobStatus struct {
-	ID          string            `json:"id"`
-	Client      string            `json:"client"`
-	Name        string            `json:"name,omitempty"`
-	State       JobState          `json:"state"`
-	SubmittedAt time.Time         `json:"submitted_at"`
-	Progress    campaign.Progress `json:"progress"`
-	Error       string            `json:"error,omitempty"`
+	ID          string    `json:"id"`
+	Client      string    `json:"client"`
+	Name        string    `json:"name,omitempty"`
+	State       JobState  `json:"state"`
+	SubmittedAt time.Time `json:"submitted_at"`
+	Progress    Progress  `json:"progress"`
+	Error       string    `json:"error,omitempty"`
 }
 
 // job is the in-memory job: the persisted record plus the compiled spec and

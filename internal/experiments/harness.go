@@ -44,7 +44,7 @@ type Options struct {
 	// campaign.WithWorkers (concurrent simulations, default NumCPU),
 	// WithRetries/WithRunTimeout (per-run fault isolation), WithCache
 	// (content-addressed result cache), WithResume (checkpoint/resume),
-	// WithBackend (local pool / worker subprocesses / remote daemon) and
+	// WithBackend (local pool / worker subprocesses) and
 	// WithEvents (typed execution event stream). Applied verbatim to every
 	// matrix the experiment runs.
 	Campaign []campaign.Option

@@ -31,6 +31,17 @@ func TestCheckInvariants(t *testing.T) {
 			t.Fatalf("live walk flagged: %v", err)
 		}
 	})
+	t.Run("ptw-walk-leak", func(t *testing.T) {
+		// What a broken swap-remove in gc leaves behind: a walk that was
+		// ready by the last gc's cycle but is still in the walk file.
+		w, _ := newWalker(t, &flatMem{latency: 10}, false)
+		w.Walk(mem.VAddr(1<<21), 100, false)
+		w.walks = append(w.walks, inflightWalk{ready: 60})
+		w.walkVPNs = append(w.walkVPNs, 0xabc)
+		if err := w.CheckInvariants(100); err == nil || !strings.HasPrefix(err.Error(), "ptw-walk-leak:") {
+			t.Fatalf("CheckInvariants = %v", err)
+		}
+	})
 	t.Run("ptw-inflight-overflow", func(t *testing.T) {
 		w, _ := newWalker(t, &flatMem{latency: 10}, false)
 		for i := 0; i <= w.cfg.MaxInflight; i++ {

@@ -145,7 +145,10 @@ type Walker struct {
 	// retiring and the walker-full search each read at most MaxInflight entries.
 	walks    []inflightWalk
 	walkVPNs []uint64
-	Stats    *stats.PTWStats
+	// gcCycle is the cycle of the last gc: every walk ready by then has
+	// been retired, so one still in the file leaked past it.
+	gcCycle uint64
+	Stats   *stats.PTWStats
 
 	// stepBuf and stepReq are per-walk scratch: the step list is rebuilt
 	// into one reusable buffer and every serialized page-table read goes
@@ -188,6 +191,7 @@ func New(cfg Config, as *vmem.AddressSpace, level cache.Level) (*Walker, error) 
 
 // gc retires finished walks, swap-removing each from the walk file.
 func (w *Walker) gc(cycle uint64) {
+	w.gcCycle = cycle
 	for i := 0; i < len(w.walks); {
 		if w.walks[i].ready > cycle {
 			i++
@@ -299,18 +303,21 @@ func (w *Walker) descend(va mem.VAddr) (steps []vmem.WalkStep, tr vmem.Translati
 }
 
 // CheckInvariants verifies walker structural invariants at the given cycle:
-// after retiring finished walks, outstanding walks never exceed MaxInflight,
-// walk completion times are sane, and no page-structure cache has grown past
-// its configured capacity. Returns the first violation, nil when clean.
+// the last gc retired every walk it should have, outstanding walks never
+// exceed MaxInflight once finished walks are retired, and no
+// page-structure cache holds a tag twice. Returns the first violation, nil
+// when clean.
 func (w *Walker) CheckInvariants(cycle uint64) error {
+	// Scan before this check's own gc, which would retire a leaked walk
+	// and hide it.
+	for i, fl := range w.walks {
+		if fl.ready <= w.gcCycle {
+			return fmt.Errorf("ptw-walk-leak: walk for vpn %#x completed at cycle %d but was not retired at cycle %d", w.walkVPNs[i], fl.ready, w.gcCycle)
+		}
+	}
 	w.gc(cycle)
 	if got := len(w.walks); got > w.cfg.MaxInflight {
 		return fmt.Errorf("ptw-inflight-overflow: %d walks outstanding with MaxInflight %d", got, w.cfg.MaxInflight)
-	}
-	for i, fl := range w.walks {
-		if fl.ready <= cycle {
-			return fmt.Errorf("ptw-walk-leak: walk for vpn %#x completed at cycle %d but was not retired at cycle %d", w.walkVPNs[i], fl.ready, cycle)
-		}
 	}
 	for l, p := range w.pscs {
 		// Capacity overflow is structurally impossible with the fixed slot

@@ -157,9 +157,9 @@ func WithWorkers(n int) CampaignOption { return campaign.WithWorkers(n) }
 func WithResume(manifest string) CampaignOption { return campaign.WithResume(manifest) }
 
 // CampaignBackend is where a campaign's cells execute: the in-process
-// pool (default), worker subprocesses sharing the on-disk cache, or a
-// remote pgcd daemon. Backends are owned by their creator — close them
-// after the campaigns they serve.
+// pool (default) or worker subprocesses sharing the on-disk cache.
+// Backends are owned by their creator — close them after the campaigns
+// they serve.
 type CampaignBackend = campaign.Backend
 
 // CampaignEvent is one entry of a campaign's typed event stream (cell
@@ -181,12 +181,8 @@ func NewProcBackend(n int) CampaignBackend {
 	return campaign.NewProcBackend(campaign.ProcConfig{Workers: n})
 }
 
-// NewDaemonBackend drives a running pgcd daemon at addr (host:port or
-// URL) as the campaign's executor over its HTTP/JSON wire.
-func NewDaemonBackend(addr string) CampaignBackend { return campaign.NewDaemonBackend(addr) }
-
-// ParseBackend resolves the CLI backend syntax: "local" (nil backend),
-// "procs[:N]", or "daemon:<addr>"; workers sizes an unsuffixed "procs".
+// ParseBackend resolves the CLI backend syntax: "local" (nil backend) or
+// "procs[:N]"; workers sizes an unsuffixed "procs".
 func ParseBackend(spec string, workers int) (CampaignBackend, error) {
 	return campaign.ParseBackend(spec, workers)
 }
