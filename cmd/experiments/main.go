@@ -33,14 +33,14 @@ func main() {
 	// binary), serve cells over stdio and exit before touching flags.
 	campaign.MaybeWorker()
 	var (
-		exp       = flag.String("exp", "fig9", "experiment: fig2..fig19, table2|table3|table5, sweep-epoch|sweep-stlb|sweep-degree|sweep-vub, shapes, or all")
+		exp       = flag.String("exp", "fig9", expUsage)
 		warmup    = flag.Uint64("warmup", 100_000, "warmup instructions per workload")
 		instrs    = flag.Uint64("instrs", 100_000, "measured instructions per workload")
 		maxWl     = flag.Int("max-workloads", 40, "cap on workloads per set (0 = full set)")
 		par       = flag.Int("parallel", 0, "concurrent simulations (0 = NumCPU)")
 		cores     = flag.Int("cores", 8, "cores for fig19")
 		mixes     = flag.Int("mixes", 20, "mixes for fig19")
-		pf        = flag.String("prefetcher", "berti", "prefetcher for single-prefetcher experiments")
+		pf        = flag.String("prefetcher", "berti", "L1D prefetcher for single-prefetcher experiments: "+strings.Join(sim.PrefetcherNames("l1d"), "|")+"|none")
 		asJSON    = flag.Bool("json", false, "emit results as JSON instead of text")
 		timeout   = flag.Duration("timeout", 0, "overall wall-clock budget, e.g. 30m (0 = none); completed experiments are kept on expiry")
 		outDir    = flag.String("out-dir", "", "write each experiment's report to <out-dir>/<name>.{txt,json} instead of stdout")
@@ -123,7 +123,12 @@ func main() {
 		os.Exit(1)
 	}
 
+	e := env{o: o, custom: custom, cores: *cores, mixes: *mixes}
 	run := func(name string) error {
+		x, err := lookup(name)
+		if err != nil {
+			return err
+		}
 		var out io.Writer = os.Stdout
 		if *outDir != "" {
 			ext := ".txt"
@@ -137,192 +142,12 @@ func main() {
 			defer f.Close()
 			out = f
 		}
-		switch name {
-		case "fig2":
-			r, err := experiments.Fig2(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig3":
-			r, err := experiments.Fig3(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig4":
-			r, err := experiments.Fig4(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig9":
-			r, err := experiments.Fig9(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig10":
-			r, err := experiments.Fig10(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig11":
-			r, err := experiments.Fig11(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig12":
-			r, err := experiments.Fig12(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig13":
-			r, err := experiments.Fig13(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig14":
-			r, err := experiments.Fig14(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig15":
-			r, err := experiments.Fig15(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig16":
-			r, err := experiments.Fig16(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig17":
-			r, err := experiments.Fig17(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig18":
-			r, err := experiments.Fig18(o, custom)
-			if err != nil {
-				return err
-			}
-			if !*asJSON {
-				fmt.Println("Fig. 18 (unseen workloads):")
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "table2":
-			// The full selection sweep is expensive; restrict the pool to
-			// a representative subset unless the user raised the budgets.
-			candidates := []string{"Delta", "PC^Delta", "PC", "VA", "VA>>12",
-				"CacheLineOffset", "sTLB MPKI", "sTLB MissRate", "LLC MPKI"}
-			r, err := experiments.Table2(o, custom, candidates, nil)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "table3":
-			if len(custom) > 0 {
-				return fmt.Errorf("%s does not take custom workloads", name)
-			}
-			r, err := experiments.Table3()
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "table5":
-			if len(custom) > 0 {
-				return fmt.Errorf("%s does not take custom workloads", name)
-			}
-			r, err := experiments.Table5(o)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "sweep-epoch", "sweep-stlb", "sweep-degree", "sweep-vub":
-			fns := map[string]func(experiments.Options, []trace.Workload) (*experiments.SweepResult, error){
-				"sweep-epoch":  experiments.EpochSweep,
-				"sweep-stlb":   experiments.STLBSweep,
-				"sweep-degree": experiments.DegreeSweep,
-				"sweep-vub":    experiments.VUBSweep,
-			}
-			r, err := fns[name](o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "shapes":
-			r, err := experiments.VerifyShapes(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig19":
-			if len(custom) > 0 {
-				return fmt.Errorf("%s draws its mixes from the registry and does not take custom workloads", name)
-			}
-			r, err := experiments.Fig19(o, *cores, *mixes)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
-		}
-		return nil
+		return x.report(e, out, *asJSON)
 	}
 
 	names := []string{*exp}
 	if *exp == "all" {
-		names = []string{"fig2", "fig3", "fig4", "fig9", "fig10", "fig11",
-			"fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-			"table3", "table5", "fig19"}
+		names = expNames(true)
 	}
 	// os.Exit skips defers, so flush the CPU profile explicitly on the
 	// error paths; completed profiles from a partial campaign are still
@@ -357,6 +182,98 @@ func main() {
 	// Campaign accounting: `make campaign` asserts a warm-cache re-run
 	// prints simulated=0 here.
 	fmt.Printf("campaign: %s\n", totals)
+}
+
+// env is what every experiment runs with; cores and mixes shape fig19.
+type env struct {
+	o            experiments.Options
+	custom       []trace.Workload
+	cores, mixes int
+}
+
+// experiment is one entry of the -exp vocabulary. inAll puts it in -exp
+// all, in table order; a noCustom experiment draws its own inputs and
+// rejects -workload-file and -champsim-trace; title heads the text report.
+type experiment struct {
+	name            string
+	run             func(env) (experiments.Printer, error)
+	inAll, noCustom bool
+	title           string
+}
+
+// overWorkloads adapts an experiment over a workload set to the table.
+func overWorkloads[R experiments.Printer](f func(experiments.Options, []trace.Workload) (R, error)) func(env) (experiments.Printer, error) {
+	return func(e env) (experiments.Printer, error) { return f(e.o, e.custom) }
+}
+
+var table = []experiment{
+	{name: "fig2", run: overWorkloads(experiments.Fig2), inAll: true},
+	{name: "fig3", run: overWorkloads(experiments.Fig3), inAll: true},
+	{name: "fig4", run: overWorkloads(experiments.Fig4), inAll: true},
+	{name: "fig9", run: overWorkloads(experiments.Fig9), inAll: true},
+	{name: "fig10", run: overWorkloads(experiments.Fig10), inAll: true},
+	{name: "fig11", run: overWorkloads(experiments.Fig11), inAll: true},
+	{name: "fig12", run: overWorkloads(experiments.Fig12), inAll: true},
+	{name: "fig13", run: overWorkloads(experiments.Fig13), inAll: true},
+	{name: "fig14", run: overWorkloads(experiments.Fig14), inAll: true},
+	{name: "fig15", run: overWorkloads(experiments.Fig15), inAll: true},
+	{name: "fig16", run: overWorkloads(experiments.Fig16), inAll: true},
+	{name: "fig17", run: overWorkloads(experiments.Fig17), inAll: true},
+	{name: "fig18", run: overWorkloads(experiments.Fig18), inAll: true, title: "Fig. 18 (unseen workloads):"},
+	{name: "table2", run: func(e env) (experiments.Printer, error) {
+		// The full selection sweep is expensive; restrict the pool to a
+		// representative subset.
+		return experiments.Table2(e.o, e.custom, []string{"Delta", "PC^Delta", "PC", "VA", "VA>>12",
+			"CacheLineOffset", "sTLB MPKI", "sTLB MissRate", "LLC MPKI"}, nil)
+	}},
+	{name: "table3", run: func(env) (experiments.Printer, error) { return experiments.Table3() }, inAll: true, noCustom: true},
+	{name: "table5", run: func(e env) (experiments.Printer, error) { return experiments.Table5(e.o) }, inAll: true, noCustom: true},
+	{name: "fig19", run: func(e env) (experiments.Printer, error) {
+		return experiments.Fig19(e.o, e.cores, e.mixes)
+	}, inAll: true, noCustom: true},
+	{name: "sweep-epoch", run: overWorkloads(experiments.EpochSweep)},
+	{name: "sweep-stlb", run: overWorkloads(experiments.STLBSweep)},
+	{name: "sweep-degree", run: overWorkloads(experiments.DegreeSweep)},
+	{name: "sweep-vub", run: overWorkloads(experiments.VUBSweep)},
+	{name: "shapes", run: overWorkloads(experiments.VerifyShapes)},
+}
+
+func lookup(name string) (experiment, error) {
+	for _, x := range table {
+		if x.name == name {
+			return x, nil
+		}
+	}
+	return experiment{}, fmt.Errorf("unknown experiment %q", name)
+}
+
+var expUsage = "experiment: " + strings.Join(expNames(false), "|") + ", or all"
+
+// expNames lists the table's experiments in order; inAll keeps only those
+// -exp all runs.
+func expNames(inAll bool) []string {
+	var out []string
+	for _, x := range table {
+		if x.inAll || !inAll {
+			out = append(out, x.name)
+		}
+	}
+	return out
+}
+
+// report runs the experiment and writes its report to out.
+func (x experiment) report(e env, out io.Writer, asJSON bool) error {
+	if x.noCustom && len(e.custom) > 0 {
+		return fmt.Errorf("%s does not take custom workloads", x.name)
+	}
+	r, err := x.run(e)
+	if err != nil {
+		return err
+	}
+	if x.title != "" && !asJSON {
+		fmt.Fprintln(out, x.title)
+	}
+	return experiments.Report(out, x.name, r, asJSON)
 }
 
 // customWorkloads assembles the user-supplied workload set: every workload

@@ -36,9 +36,9 @@ func main() {
 	campaign.MaybeWorker()
 	var (
 		workload   = flag.String("workload", "spec.stream_s00", "workload name (see -list)")
-		prefetcher = flag.String("prefetcher", "berti", "L1D prefetcher: berti|ipcp|bop|none")
-		l2pf       = flag.String("l2-prefetcher", "none", "L2C prefetcher: none|spp|ipcp|bop")
-		policy     = flag.String("policy", "dripper", "page-cross policy: permit|discard|discard-ptw|dripper|ppf|ppf+dthr|dripper-sf")
+		prefetcher = flag.String("prefetcher", "berti", "L1D prefetcher: "+strings.Join(sim.PrefetcherNames("l1d"), "|")+"|none")
+		l2pf       = flag.String("l2-prefetcher", "none", "L2C prefetcher: "+strings.Join(sim.PrefetcherNames("l2c"), "|")+"|none")
+		policy     = flag.String("policy", "dripper", "page-cross policy: "+strings.Join(sim.PolicyNames(), "|"))
 		warmup     = flag.Uint64("warmup", 250_000, "warmup instructions")
 		instrs     = flag.Uint64("instrs", 250_000, "measured instructions")
 		largePages = flag.Bool("large-pages", false, "back half the address space with 2MB pages")
@@ -406,23 +406,7 @@ func report(r *stats.Run) {
 	fmt.Println()
 	fmt.Printf("%-6s %10s %10s %10s %9s\n", "level", "accesses", "misses", "MPKI", "missrate")
 	for _, lv := range []string{"l1i", "l1d", "l2c", "llc", "dtlb", "itlb", "stlb"} {
-		var cs *stats.CacheStats
-		switch lv {
-		case "l1i":
-			cs = &r.L1I
-		case "l1d":
-			cs = &r.L1D
-		case "l2c":
-			cs = &r.L2C
-		case "llc":
-			cs = &r.LLC
-		case "dtlb":
-			cs = &r.DTLB
-		case "itlb":
-			cs = &r.ITLB
-		case "stlb":
-			cs = &r.STLB
-		}
+		cs := r.Cache(lv)
 		fmt.Printf("%-6s %10d %10d %10.3f %8.1f%%\n",
 			lv, cs.DemandAccesses, cs.DemandMisses, r.MPKI(lv), cs.MissRate()*100)
 	}

@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"strings"
 
 	"repro/internal/campaign"
 	"repro/internal/sim"
@@ -27,8 +28,8 @@ import (
 func main() {
 	var (
 		set        = flag.String("set", "seen", "workload set: seen|unseen|nonintensive|all")
-		policy     = flag.String("policy", "dripper", "page-cross policy")
-		prefetcher = flag.String("prefetcher", "berti", "L1D prefetcher")
+		policy     = flag.String("policy", "dripper", "page-cross policy: "+strings.Join(sim.PolicyNames(), "|"))
+		prefetcher = flag.String("prefetcher", "berti", "L1D prefetcher: "+strings.Join(sim.PrefetcherNames("l1d"), "|")+"|none")
 		warmup     = flag.Uint64("warmup", 100_000, "warmup instructions")
 		instrs     = flag.Uint64("instrs", 100_000, "measured instructions")
 		maxN       = flag.Int("max", 0, "cap on workloads (0 = all)")
@@ -36,20 +37,15 @@ func main() {
 	)
 	flag.Parse()
 
-	var wls []trace.Workload
-	switch *set {
-	case "seen":
-		wls = trace.Seen()
-	case "unseen":
-		wls = trace.Unseen()
-	case "nonintensive":
-		wls = trace.NonIntensive()
-	case "all":
-		wls = trace.All()
-	default:
+	sets := map[string]func() []trace.Workload{
+		"seen": trace.Seen, "unseen": trace.Unseen, "nonintensive": trace.NonIntensive, "all": trace.All,
+	}
+	load, ok := sets[*set]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "pgcstats: unknown set %q\n", *set)
 		os.Exit(1)
 	}
+	wls := load()
 	if *maxN > 0 && *maxN < len(wls) {
 		wls = wls[:*maxN]
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -264,7 +265,7 @@ func TestCacheInvalidatesExactlyAffectedCells(t *testing.T) {
 	}
 	path := filepath.Join(dir, string(k[:2]), string(k)+".json")
 	b, _ := os.ReadFile(path)
-	stale := strings.Replace(string(b), `"schema":1`, `"schema":0`, 1)
+	stale := strings.Replace(string(b), fmt.Sprintf(`"schema":%d`, SchemaVersion), fmt.Sprintf(`"schema":%d`, SchemaVersion-1), 1)
 	if stale == string(b) {
 		t.Fatal("schema field not found")
 	}

@@ -21,9 +21,11 @@ import (
 
 // SchemaVersion is folded into every cache key. Bump it whenever the
 // meaning of the simulator's statistics changes (a counter is added,
-// renamed, or measured differently): every previously cached result then
-// misses and is regenerated, instead of silently mixing incomparable runs.
-const SchemaVersion = 1
+// renamed, or measured differently) or the shape of the keyed sim.Config
+// changes (a field is added, removed or reinterpreted): every previously
+// cached result then misses and is regenerated, instead of silently mixing
+// incomparable runs. Version 2 dropped Config.L1INextLine.
+const SchemaVersion = 2
 
 // ErrUncacheable marks a configuration whose simulation outcome is not a
 // pure function of its serialised form. The only such configuration today

@@ -234,6 +234,26 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestSubmitChecksNames: a cell naming a policy or prefetcher outside the
+// simulator's vocabulary is a 400 naming the value, and a valid
+// non-default name is admitted.
+func TestSubmitChecksNames(t *testing.T) {
+	_, ts := openTest(t, testConfig(t))
+	for _, bad := range []struct{ config, name string }{
+		{`{"Policy":"bogus"}`, `"bogus"`},
+		{`{"L2CPrefetcher":"nope"}`, `L2C prefetcher "nope"`},
+	} {
+		resp, sr := submit(t, ts, `{"cells":[{"id":"a","workload":"spec.stream_s00","config":`+bad.config+`}]}`)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(sr.Error, bad.name) {
+			t.Errorf("%s: status %d, error %q; want 400 naming %s", bad.config, resp.StatusCode, sr.Error, bad.name)
+		}
+	}
+	resp, sr := submit(t, ts, `{"id":"fnl","cells":[{"id":"a","workload":"spec.stream_s00","config":{"L1IPrefetcher":"fnl+mma"}}],"wait_ms":15000}`)
+	if resp.StatusCode != http.StatusOK || sr.State != JobDone {
+		t.Fatalf("fnl+mma submit: %d %s (error %q)", resp.StatusCode, sr.State, sr.Error)
+	}
+}
+
 // TestSubmitSampledCell validates sampling end to end over the wire: a
 // sampled cell is admitted, runs to completion, and occupies its own slot in
 // the content-addressed cache (a full-detail twin submitted first must not

@@ -171,6 +171,11 @@ func (s *Server) cellConfig(raw json.RawMessage) (sim.Config, error) {
 	if cfg.FaultInject != nil {
 		return cfg, fmt.Errorf("config: fault injection is not accepted over the wire")
 	}
+	// A prefetcher or policy name New would reject fails here, not in every
+	// cell's build stage.
+	if err := cfg.CheckNames(); err != nil {
+		return cfg, fmt.Errorf("config: %w", err)
+	}
 	if cfg.TraceCapacity > maxTraceCapacity {
 		return cfg, fmt.Errorf("config: TraceCapacity %d exceeds cap %d", cfg.TraceCapacity, maxTraceCapacity)
 	}

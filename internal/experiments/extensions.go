@@ -134,7 +134,7 @@ func Fig18(o Options, wls []trace.Workload) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSCurveResult(m, wls, []string{"Permit PGC", "DRIPPER"})
+	return newSCurveResult(m, wls)
 }
 
 // Table5Result reproduces Table V: geomean speedups of Berti+Permit PGC and

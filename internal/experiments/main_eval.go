@@ -96,10 +96,13 @@ func Fig10(o Options, wls []trace.Workload) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSCurveResult(m, wls, []string{"Permit PGC", "DRIPPER"})
+	return newSCurveResult(m, wls)
 }
 
-func newSCurveResult(m Matrix, wls []trace.Workload, scens []string) (*Fig10Result, error) {
+// scurveScenarios are the Fig. 10/18 scenarios, in report order.
+var scurveScenarios = []string{"Permit PGC", "DRIPPER"}
+
+func newSCurveResult(m Matrix, wls []trace.Workload) (*Fig10Result, error) {
 	res := &Fig10Result{
 		SCurve:  map[string][]float64{},
 		BySuite: map[string]map[string]float64{},
@@ -108,7 +111,7 @@ func newSCurveResult(m Matrix, wls []trace.Workload, scens []string) (*Fig10Resu
 	}
 	suites, groups := bySuite(wls)
 	res.Suites = suites
-	for _, sc := range scens {
+	for _, sc := range scurveScenarios {
 		sp, wts, err := m.Speedups(sc, "Discard PGC", wls)
 		if err != nil {
 			return nil, err
@@ -137,7 +140,8 @@ func newSCurveResult(m Matrix, wls []trace.Workload, scens []string) (*Fig10Resu
 // Print writes the s-curve summary and suite breakdown.
 func (r *Fig10Result) Print(w io.Writer) {
 	fmt.Fprintln(w, "Fig. 10: Berti — speedup over Discard PGC")
-	for sc, curve := range r.SCurve {
+	for _, sc := range scurveScenarios {
+		curve := r.SCurve[sc]
 		if len(curve) == 0 {
 			continue
 		}
@@ -150,7 +154,7 @@ func (r *Fig10Result) Print(w io.Writer) {
 	fmt.Fprintln(w, "  per-suite geomeans:")
 	for _, suite := range r.Suites {
 		fmt.Fprintf(w, "    %-9s", suite)
-		for _, sc := range []string{"Permit PGC", "DRIPPER"} {
+		for _, sc := range scurveScenarios {
 			if g, ok := r.BySuite[sc][suite]; ok {
 				fmt.Fprintf(w, "  %s %8s", sc, pct(g))
 			}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -73,8 +74,13 @@ func Table2(o Options, wls []trace.Workload, candidates []string, prefetchers []
 // Print writes the table.
 func (r *Table2Result) Print(w io.Writer) {
 	fmt.Fprintln(w, "Table II: features selected per prefetcher (greedy, +0.3% gain rule)")
-	for pf, sel := range r.Selected {
-		fmt.Fprintf(w, "  %-6s %v (geomean %s)\n", pf, sel, pct(r.Score[pf]))
+	pfs := make([]string, 0, len(r.Selected))
+	for pf := range r.Selected {
+		pfs = append(pfs, pf)
+	}
+	sort.Strings(pfs)
+	for _, pf := range pfs {
+		fmt.Fprintf(w, "  %-6s %v (geomean %s)\n", pf, r.Selected[pf], pct(r.Score[pf]))
 	}
 }
 

@@ -254,20 +254,38 @@ func TestCustomFilterConfig(t *testing.T) {
 	}
 }
 
+// TestInvalidConfigsRejected: a name outside a level's vocabulary fails
+// New, and CheckNames reports the same error without building anything.
 func TestInvalidConfigsRejected(t *testing.T) {
-	cfg := testConfig(PolicyDiscard)
-	cfg.L1DPrefetcher = "bogus"
-	if _, err := New(cfg); err == nil {
-		t.Fatal("bogus prefetcher accepted")
+	cases := []struct {
+		set     func(*Config)
+		wantErr string
+	}{
+		{func(c *Config) { c.L1DPrefetcher = "bogus" }, `sim: unknown L1D prefetcher "bogus"`},
+		{func(c *Config) { c.L1DPrefetcher = "spp" }, `sim: unknown L1D prefetcher "spp"`},
+		{func(c *Config) { c.L2CPrefetcher = "bogus" }, `sim: unknown L2C prefetcher "bogus"`},
+		{func(c *Config) { c.L2CPrefetcher = "berti" }, `sim: unknown L2C prefetcher "berti"`},
+		{func(c *Config) { c.L1IPrefetcher = "ipcp" }, `sim: unknown L1I prefetcher "ipcp"`},
+		{func(c *Config) { c.Policy = "bogus-policy" }, `sim: unknown policy "bogus-policy"`},
+		{func(c *Config) { c.Policy = "bogus-policy"; c.ISOStorage = true }, ""},
+		{func(c *Config) { c.L2CPrefetcher = "spp"; c.L1IPrefetcher = "fnl+mma"; c.Policy = "" }, ""},
 	}
-	cfg = testConfig("bogus-policy")
-	if _, err := New(cfg); err == nil {
-		t.Fatal("bogus policy accepted")
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
 	}
-	cfg = testConfig(PolicyDiscard)
-	cfg.L2CPrefetcher = "bogus"
-	if _, err := New(cfg); err == nil {
-		t.Fatal("bogus L2C prefetcher accepted")
+	for i, tc := range cases {
+		cfg := testConfig(PolicyDiscard)
+		tc.set(&cfg)
+		_, err := New(cfg)
+		if got := errText(err); got != tc.wantErr {
+			t.Errorf("case %d: New error %q, want %q", i, got, tc.wantErr)
+		}
+		if got := errText(cfg.CheckNames()); got != tc.wantErr {
+			t.Errorf("case %d: CheckNames error %q, want %q", i, got, tc.wantErr)
+		}
 	}
 }
 

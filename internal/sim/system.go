@@ -10,7 +10,6 @@ package sim
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 
 	"repro/internal/cache"
@@ -53,19 +52,17 @@ type Config struct {
 	DRAM dram.Config
 	VMem vmem.Config
 
-	// L1DPrefetcher selects "berti", "ipcp", "bop" or "none".
+	// The prefetcher at each level, by name (PrefetcherNames lists them;
+	// "" and "none" select no prefetcher). L1DPrefetcher: "berti", "ipcp",
+	// "bop", "stride" or "sms". L2CPrefetcher: "spp", "ipcp" or "bop"
+	// (§V-B7). L1IPrefetcher: "nextline" (the default) or "fnl+mma".
 	L1DPrefetcher string
-	// L2CPrefetcher selects "none", "spp", "ipcp", "bop" (§V-B7).
 	L2CPrefetcher string
-	// L1INextLine enables the L1I next-line prefetcher.
-	L1INextLine bool
-	// L1IPrefetcher optionally selects a specific instruction prefetcher:
-	// "nextline" (default when L1INextLine is set), "fnl+mma", or "none".
 	L1IPrefetcher string
 
-	// Policy selects the page-cross policy; FilterConfig overrides the
-	// built-in filter configuration when non-nil (single-feature filters,
-	// ablations).
+	// Policy selects the page-cross policy (PolicyNames lists them; ""
+	// is Discard PGC); FilterConfig, when non-nil, replaces it with a filter
+	// of that configuration (single-feature filters, ablations).
 	Policy       PolicyKind
 	FilterConfig *core.Config
 
@@ -177,7 +174,7 @@ func DefaultConfig() Config {
 
 		L1DPrefetcher:     "berti",
 		L2CPrefetcher:     "none",
-		L1INextLine:       true,
+		L1IPrefetcher:     "nextline",
 		Policy:            PolicyDiscard,
 		MaxPrefetchDegree: 4,
 		WarmupInstrs:      250_000,
@@ -271,83 +268,6 @@ type epochCounters struct {
 	pgcUseful, pgcUseless uint64
 }
 
-// newPrefetcher builds the named L1D engine.
-func newPrefetcher(name string, iso bool) (prefetch.Prefetcher, error) {
-	// The ISO-Storage scenario spends DRIPPER's 1.44KB budget on the
-	// prefetcher's main table instead (doubling it comfortably covers it).
-	switch name {
-	case "berti":
-		if iso {
-			return prefetch.NewBertiSized(512), nil
-		}
-		return prefetch.NewBerti(), nil
-	case "ipcp":
-		if iso {
-			return prefetch.NewIPCPSized(1024), nil
-		}
-		return prefetch.NewIPCP(), nil
-	case "bop":
-		if iso {
-			return prefetch.NewBOPSized(512), nil
-		}
-		return prefetch.NewBOP(), nil
-	case "stride":
-		return prefetch.NewStride(), nil
-	case "sms":
-		return prefetch.NewSMS(), nil
-	case "none", "":
-		return nil, nil
-	}
-	return nil, fmt.Errorf("sim: unknown L1D prefetcher %q", name)
-}
-
-// newPolicy builds the configured page-cross policy.
-func newPolicy(cfg Config) (core.Policy, error) {
-	if cfg.ISOStorage {
-		return core.PermitPGC{}, nil
-	}
-	if cfg.FilterConfig != nil {
-		f, err := core.NewFilter(*cfg.FilterConfig)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewFilterPolicy(f), nil
-	}
-	switch cfg.Policy {
-	case PolicyPermit:
-		return core.PermitPGC{}, nil
-	case PolicyDiscard, "":
-		return core.DiscardPGC{}, nil
-	case PolicyDiscardPTW:
-		return core.DiscardPTW{}, nil
-	case PolicyDripper:
-		f, err := core.NewFilter(core.DefaultDripperConfig(cfg.L1DPrefetcher))
-		if err != nil {
-			return nil, err
-		}
-		return core.NewFilterPolicy(f), nil
-	case PolicyPPF:
-		f, err := core.NewFilter(core.PPFConfig())
-		if err != nil {
-			return nil, err
-		}
-		return core.NewFilterPolicy(f), nil
-	case PolicyPPFDthr:
-		f, err := core.NewFilter(core.PPFDthrConfig())
-		if err != nil {
-			return nil, err
-		}
-		return core.NewFilterPolicy(f), nil
-	case PolicyDripperSF:
-		f, err := core.NewFilter(core.DripperSFConfig(cfg.L1DPrefetcher))
-		if err != nil {
-			return nil, err
-		}
-		return core.NewFilterPolicy(f), nil
-	}
-	return nil, fmt.Errorf("sim: unknown policy %q", cfg.Policy)
-}
-
 // New builds a system. sharedLLC and sharedDRAM may be nil (private) or
 // provided by the multi-core wrapper.
 func New(cfg Config) (*System, error) {
@@ -377,17 +297,10 @@ func newSystem(cfg Config, sharedLLC *cache.Cache, sharedDRAM *dram.DRAM) (*Syst
 	}
 	// The L2 adapter trains the L2C prefetcher on the physical stream.
 	var l2Level cache.Level = s.L2C
-	if cfg.L2CPrefetcher != "" && cfg.L2CPrefetcher != "none" {
-		switch cfg.L2CPrefetcher {
-		case "spp":
-			s.L2CPf = prefetch.NewSPP()
-		case "ipcp":
-			s.L2CPf = prefetch.NewIPCP()
-		case "bop":
-			s.L2CPf = prefetch.NewBOP()
-		default:
-			return nil, fmt.Errorf("sim: unknown L2C prefetcher %q", cfg.L2CPrefetcher)
-		}
+	if s.L2CPf, err = newPrefetcher("l2c", cfg.L2CPrefetcher, false); err != nil {
+		return nil, err
+	}
+	if s.L2CPf != nil {
 		l2Level = &l2Adapter{sys: s}
 	}
 	if s.L1D, err = cache.New(cfg.L1D, l2Level); err != nil {
@@ -400,24 +313,14 @@ func newSystem(cfg Config, sharedLLC *cache.Cache, sharedDRAM *dram.DRAM) (*Syst
 		return nil, err
 	}
 
-	if s.L1DPf, err = newPrefetcher(cfg.L1DPrefetcher, cfg.ISOStorage); err != nil {
+	if s.L1DPf, err = newPrefetcher("l1d", cfg.L1DPrefetcher, cfg.ISOStorage); err != nil {
 		return nil, err
 	}
 	if cfg.FDPThrottle && s.L1DPf != nil {
 		s.L1DPf = prefetch.NewThrottle(s.L1DPf)
 	}
-	switch cfg.L1IPrefetcher {
-	case "fnl+mma":
-		s.L1IPf = prefetch.NewFNLMMA()
-	case "nextline":
-		s.L1IPf = &prefetch.NextLine{}
-	case "none":
-	case "":
-		if cfg.L1INextLine {
-			s.L1IPf = &prefetch.NextLine{}
-		}
-	default:
-		return nil, fmt.Errorf("sim: unknown L1I prefetcher %q", cfg.L1IPrefetcher)
+	if s.L1IPf, err = newPrefetcher("l1i", cfg.L1IPrefetcher, false); err != nil {
+		return nil, err
 	}
 	if s.Policy, err = newPolicy(cfg); err != nil {
 		return nil, err

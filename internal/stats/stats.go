@@ -137,14 +137,16 @@ func (r *Run) IPC() float64 { return r.Core.IPC() }
 // MPKI returns the named structure's demand MPKI. Recognised names:
 // "l1d", "l1i", "l2c", "llc", "dtlb", "itlb", "stlb".
 func (r *Run) MPKI(structure string) float64 {
-	s := r.cache(structure)
+	s := r.Cache(structure)
 	if s == nil {
 		return math.NaN()
 	}
 	return s.MPKI(r.Core.Instructions)
 }
 
-func (r *Run) cache(structure string) *CacheStats {
+// Cache returns the named structure's statistics (the names MPKI
+// recognises), nil for any other name.
+func (r *Run) Cache(structure string) *CacheStats {
 	switch structure {
 	case "l1d":
 		return &r.L1D
