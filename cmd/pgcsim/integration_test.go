@@ -5,8 +5,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/cpu"
 )
 
 // buildCmd compiles one of the repo's commands into dir and returns the
@@ -22,6 +25,36 @@ func buildCmd(t *testing.T, dir, name string) string {
 	return bin
 }
 
+// snapshot runs pgcsim with args plus -metrics-out, feeding it stdin when
+// non-nil, and returns the metrics snapshot it wrote.
+func snapshot(t *testing.T, pgcsim string, stdin []byte, args ...string) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "snap.json")
+	cmd := exec.Command(pgcsim, append(args, "-metrics-out", path)...)
+	if stdin != nil {
+		cmd.Stdin = bytes.NewReader(stdin)
+	}
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("pgcsim %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap) == 0 {
+		t.Fatalf("pgcsim %s wrote an empty metrics snapshot", strings.Join(args, " "))
+	}
+	return snap
+}
+
+const (
+	replayWorkload = "gap.graph_s00"
+	replayWarmup   = 2000
+	replayInstrs   = 5000
+)
+
+var replayBudget = []string{"-warmup", strconv.Itoa(replayWarmup), "-instrs", strconv.Itoa(replayInstrs)}
+
 // TestEmitWDLPipeReproducesDirectRun is the full user-facing loop:
 // `tracegen -emit-wdl` describes a registry workload as text, piping that
 // text into `pgcsim -workload-file -` must produce a metrics snapshot
@@ -35,44 +68,47 @@ func TestEmitWDLPipeReproducesDirectRun(t *testing.T) {
 	tracegen := buildCmd(t, dir, "tracegen")
 	pgcsim := buildCmd(t, dir, "pgcsim")
 
-	const workload = "gap.graph_s00"
-	budget := []string{"-warmup", "2000", "-instrs", "5000"}
-
-	emit := exec.Command(tracegen, "-workload", workload, "-emit-wdl")
+	emit := exec.Command(tracegen, "-workload", replayWorkload, "-emit-wdl")
 	wdlText, err := emit.Output()
 	if err != nil {
 		t.Fatalf("tracegen -emit-wdl: %v", err)
 	}
-	if !strings.Contains(string(wdlText), "workload "+workload) {
+	if !strings.Contains(string(wdlText), "workload "+replayWorkload) {
 		t.Fatalf("emitted WDL lacks the workload declaration:\n%s", wdlText)
 	}
 
-	viaPipe := filepath.Join(dir, "pipe.json")
-	pipe := exec.Command(pgcsim, append([]string{"-workload-file", "-", "-metrics-out", viaPipe}, budget...)...)
-	pipe.Stdin = bytes.NewReader(wdlText)
-	if out, err := pipe.CombinedOutput(); err != nil {
-		t.Fatalf("pgcsim -workload-file -: %v\n%s", err, out)
-	}
-
-	viaName := filepath.Join(dir, "direct.json")
-	direct := exec.Command(pgcsim, append([]string{"-workload", workload, "-metrics-out", viaName}, budget...)...)
-	if out, err := direct.CombinedOutput(); err != nil {
-		t.Fatalf("pgcsim -workload: %v\n%s", err, out)
-	}
-
-	a, err := os.ReadFile(viaPipe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(viaName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) == 0 {
-		t.Fatal("piped run wrote an empty metrics snapshot")
-	}
+	a := snapshot(t, pgcsim, wdlText, append([]string{"-workload-file", "-"}, replayBudget...)...)
+	b := snapshot(t, pgcsim, nil, append([]string{"-workload", replayWorkload}, replayBudget...)...)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("metrics snapshots differ between -workload-file pipe and direct -workload run (%d vs %d bytes)", len(a), len(b))
+	}
+}
+
+// TestRecordedTraceReplaysNamedRun holds tracegen's replay promise: a
+// recording of warmup+instrs+ROB-size instructions, replayed through
+// `pgcsim -trace`, produces a metrics snapshot byte-identical to running the
+// workload by name. The ROB's worth of extra instructions is what the core
+// fetches past the last retired one; a shorter recording runs dry early and
+// the snapshots differ.
+func TestRecordedTraceReplaysNamedRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short")
+	}
+	dir := t.TempDir()
+	tracegen := buildCmd(t, dir, "tracegen")
+	pgcsim := buildCmd(t, dir, "pgcsim")
+
+	n := replayWarmup + replayInstrs + cpu.DefaultConfig().ROBSize
+	pgct := filepath.Join(dir, "graph.pgct")
+	record := exec.Command(tracegen, "-workload", replayWorkload, "-n", strconv.Itoa(n), "-o", pgct)
+	if out, err := record.CombinedOutput(); err != nil {
+		t.Fatalf("tracegen: %v\n%s", err, out)
+	}
+
+	a := snapshot(t, pgcsim, nil, append([]string{"-trace", pgct}, replayBudget...)...)
+	b := snapshot(t, pgcsim, nil, append([]string{"-workload", replayWorkload}, replayBudget...)...)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("metrics snapshots differ between a %d-instruction recording and the named run (%d vs %d bytes)", n, len(a), len(b))
 	}
 }
 

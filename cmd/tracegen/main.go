@@ -1,6 +1,9 @@
 // Command tracegen records synthetic workloads into the repository's binary
-// trace format (.pgct) and inspects existing trace files. Recorded traces
-// replay bit-identically through pgcsim -trace, which makes cross-machine
+// trace format (.pgct) and inspects existing trace files. A recorded trace
+// replays bit-identically through pgcsim -trace when it holds at least
+// warmup + instrs + 352 instructions (the ROB size): the core fetches up to
+// a full ROB past the last instruction it retires, and a shorter recording
+// runs dry before the named run would. That makes cross-machine
 // reproduction and trace sharing possible without shipping the generators.
 //
 // Examples:
@@ -106,11 +109,4 @@ func inspectTrace(path string) error {
 	fmt.Printf("data pages    %d (%.1f MB footprint)\n", len(pages), float64(len(pages))*4/1024)
 	fmt.Printf("distinct PCs  %d\n", len(pcs))
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

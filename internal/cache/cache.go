@@ -249,12 +249,6 @@ func New(cfg Config, lower Level) (*Cache, error) {
 	}, nil
 }
 
-// Name returns the configured name.
-func (c *Cache) Name() string { return c.cfg.Name }
-
-// Config returns the configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 func (c *Cache) setIndex(pa mem.PAddr) uint64 {
 	return pa.LineID() & uint64(c.cfg.Sets-1)
 }
@@ -354,10 +348,6 @@ func (c *Cache) gcOutstanding(cycle uint64) {
 // completed fill's entry stays allocated forever, so occupancy creeps up
 // until the leak-freedom invariant trips. Fault injection for the oracle.
 func (c *Cache) InjectMSHRLeak(everyN uint64) { c.leakEveryN = everyN }
-
-// MissLatencyEstimate returns the cache's running estimate of a demand
-// full-miss latency (EWMA), a diagnostic for timeliness studies.
-func (c *Cache) MissLatencyEstimate() uint64 { return c.missLatEWMA }
 
 // OutstandingMisses reports the number of in-flight fills at the given
 // cycle; the adaptive thresholding scheme uses it as ROB/L1D pressure input.

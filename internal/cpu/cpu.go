@@ -388,9 +388,6 @@ func (c *Core) RetiredTotal() uint64 { return c.retiredTotal }
 // one instruction (0 if it never has).
 func (c *Core) LastRetireCycle() uint64 { return c.lastRetire }
 
-// ROBCount returns the current ROB occupancy in entries.
-func (c *Core) ROBCount() int { return c.count }
-
 // ROBHead returns the PC and completion cycle of the instruction at the ROB
 // head; ok is false when the ROB is empty. A head whose ready cycle is far
 // beyond the current cycle is the signature of a stuck memory operation.

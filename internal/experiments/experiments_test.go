@@ -385,13 +385,6 @@ func TestTable3Storage(t *testing.T) {
 	}
 }
 
-func TestSortByGain(t *testing.T) {
-	names := sortByGain([]string{"a", "b", "c"}, []float64{3, 1, 2})
-	if names[0] != "b" || names[1] != "c" || names[2] != "a" {
-		t.Fatalf("sorted: %v", names)
-	}
-}
-
 func TestAblationSweeps(t *testing.T) {
 	o := tinyOpts()
 	o.Warmup, o.Instrs = 10_000, 20_000

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -205,18 +204,4 @@ func (r *Fig4Result) Print(w io.Writer) {
 				s, r.Mean(cat, s), xs[0], xs[len(xs)-1])
 		}
 	}
-}
-
-// sortByGain is a helper used in reports: workload names ordered by gain.
-func sortByGain(names []string, gains []float64) []string {
-	idx := make([]int, len(names))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return gains[idx[a]] < gains[idx[b]] })
-	out := make([]string, len(names))
-	for i, j := range idx {
-		out[i] = names[j]
-	}
-	return out
 }

@@ -259,9 +259,6 @@ func (r *Registry) Value(name string) (uint64, bool) {
 	return m.ctr.Value(), true
 }
 
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int { return len(r.metrics) }
-
 // Reset zeroes every owned counter and histogram. Function-backed metrics
 // are views over component state and reset with their components.
 func (r *Registry) Reset() {

@@ -70,9 +70,6 @@ func (s *System) buildChecker() error {
 	return nil
 }
 
-// Checker exposes the run's oracle checker; nil unless Config.Check.Enabled.
-func (s *System) Checker() *oracle.Checker { return s.checker }
-
 // runChecks performs the poll-grain component sweep. With FailFast it
 // panics on the first violation (typed *CheckError value); otherwise it
 // keeps accumulating and lets Run surface the error at completion.

@@ -250,10 +250,6 @@ type System struct {
 	// Epoch bookkeeping: snapshots of the counters at the last epoch.
 	epochSnap epochCounters
 
-	// DebugLoadLatency, when non-nil, observes every demand load's
-	// (request cycle, ready cycle); diagnostics only.
-	DebugLoadLatency func(cycle, ready uint64)
-
 	// checker is the lockstep oracle; nil unless Config.Check.Enabled, and
 	// every hot-path hook guards on that nil.
 	checker *oracle.Checker
@@ -492,9 +488,6 @@ func (s *System) demandAccess(pc, va uint64, cycle uint64, kind mem.AccessType) 
 	// prefetch decisions.
 	s.prevVA2, s.prevVA1 = s.prevVA1, va
 	s.prevPC2, s.prevPC1 = s.prevPC1, pc
-	if s.DebugLoadLatency != nil && kind == mem.Load {
-		s.DebugLoadLatency(res.Ready, ready)
-	}
 	return ready
 }
 

@@ -91,14 +91,6 @@ type CoreStats struct {
 	Mispredicts uint64
 }
 
-// MispredictRate returns branch mispredictions per executed branch.
-func (s *CoreStats) MispredictRate() float64 {
-	if s.Branches == 0 {
-		return 0
-	}
-	return float64(s.Mispredicts) / float64(s.Branches)
-}
-
 // IPC returns retired instructions per cycle.
 func (s *CoreStats) IPC() float64 {
 	if s.Cycles == 0 {
