@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check cover bench campaign backend-e2e golden wdl-golden diff fuzz soak daemon-e2e
+.PHONY: build test race vet check cover bench campaign golden wdl-golden diff fuzz soak daemon-e2e
 
 build:
 	$(GO) build ./...
@@ -36,26 +36,6 @@ campaign: build
 		&& echo 'campaign: warm-cache re-run performed zero simulations' \
 		|| { echo 'campaign: FAIL — warm-cache re-run still simulated'; rm -rf $(CAMPAIGN_CACHE); exit 1; }
 	@rm -rf $(CAMPAIGN_CACHE)
-
-# backend-e2e runs the campaign warm-cache acceptance through the
-# process-per-shard backend: a cold run under -backend procs:2 fills the
-# shared content-addressed cache, a warm procs re-run performs zero
-# simulations, and a warm run on the default in-process backend proves
-# both backends address the very same cache entries.
-BACKEND_CACHE := .backend-cache
-backend-e2e: build
-	@rm -rf $(BACKEND_CACHE)
-	@$(GO) run ./cmd/experiments -exp fig9 -max-workloads 2 -warmup 5000 -instrs 10000 \
-		-backend procs:2 -cache-dir $(BACKEND_CACHE) >/dev/null
-	@$(GO) run ./cmd/experiments -exp fig9 -max-workloads 2 -warmup 5000 -instrs 10000 \
-		-backend procs:2 -cache-dir $(BACKEND_CACHE) | tee /dev/stderr | grep '^campaign:' | grep -q 'simulated=0' \
-		&& echo 'backend-e2e: warm procs re-run performed zero simulations' \
-		|| { echo 'backend-e2e: FAIL — warm procs re-run still simulated'; rm -rf $(BACKEND_CACHE); exit 1; }
-	@$(GO) run ./cmd/experiments -exp fig9 -max-workloads 2 -warmup 5000 -instrs 10000 \
-		-cache-dir $(BACKEND_CACHE) | grep '^campaign:' | grep -q 'simulated=0' \
-		&& echo 'backend-e2e: in-process backend reuses the procs-built cache' \
-		|| { echo 'backend-e2e: FAIL — cache not shared across backends'; rm -rf $(BACKEND_CACHE); exit 1; }
-	@rm -rf $(BACKEND_CACHE)
 
 # soak runs the daemon chaos harness — fault injection, cache corruption,
 # hostile clients, graceful and hard restarts — for SOAK under the race

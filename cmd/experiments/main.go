@@ -29,9 +29,6 @@ import (
 )
 
 func main() {
-	// When spawned as a campaign worker (-backend procs re-executes this
-	// binary), serve cells over stdio and exit before touching flags.
-	campaign.MaybeWorker()
 	var (
 		exp       = flag.String("exp", "fig9", expUsage)
 		warmup    = flag.Uint64("warmup", 100_000, "warmup instructions per workload")
@@ -52,7 +49,6 @@ func main() {
 		samplePer = flag.Uint64("sample-period", 0, "with -sample, sampling period in instructions (0 = default)")
 		wdlFiles  = flag.String("workload-file", "", "comma-separated .wdl files; their workloads replace the registry set in workload-driven experiments")
 		chpsTrcs  = flag.String("champsim-trace", "", "comma-separated ChampSim trace files, used as workloads in workload-driven experiments")
-		backend   = flag.String("backend", "local", "execution backend: local (in-process pool) or procs[:N] (worker subprocesses sharing the cache)")
 	)
 	flag.Parse()
 
@@ -97,23 +93,12 @@ func main() {
 	defer stop()
 	hardExitOnSecondSignal()
 
-	bk, err := campaign.ParseBackend(*backend, *par)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
-	}
-	copts := []campaign.Option{campaign.WithWorkers(*par), campaign.WithCache(*cacheDir), campaign.WithResume(*resume)}
-	if bk != nil {
-		defer bk.Close()
-		copts = append(copts, campaign.WithBackend(bk))
-	}
-
 	totals := &campaign.Totals{}
 	o := experiments.Options{
 		Warmup: *warmup, Instrs: *instrs,
 		MaxWorkloads: *maxWl, Prefetcher: *pf,
 		Ctx:      ctx,
-		Campaign: copts,
+		Campaign: []campaign.Option{campaign.WithWorkers(*par), campaign.WithCache(*cacheDir), campaign.WithResume(*resume)},
 		Check:    sim.CheckConfig{Enabled: *check},
 		Sample:   sim.SampleConfig{Enabled: *sampled, PeriodInstrs: *samplePer},
 		Totals:   totals,
@@ -155,9 +140,6 @@ func main() {
 	exit := func(code int) {
 		if *pprofOut != "" {
 			pprof.StopCPUProfile()
-		}
-		if bk != nil {
-			bk.Close() // reap worker subprocesses; os.Exit skips defers
 		}
 		os.Exit(code)
 	}

@@ -28,14 +28,10 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/daemon"
 )
 
 func main() {
-	// When spawned as a campaign worker (-backend procs re-executes this
-	// binary), serve cells over stdio and exit before touching flags.
-	campaign.MaybeWorker()
 	if err := run(); err != nil {
 		fmt.Fprintf(os.Stderr, "pgcd: %v\n", err)
 		os.Exit(1)
@@ -58,7 +54,6 @@ func run() error {
 		instrs     = flag.Uint64("instrs", 0, "default measured instructions per cell (0: default)")
 		deadline   = flag.Duration("deadline", 0, "default per-campaign deadline (0: default)")
 		drainGrace = flag.Duration("drain-grace", 0, "grace period for in-flight jobs on drain (0: default)")
-		backend    = flag.String("backend", "local", "execution backend for campaign cells: local (in-process pool) or procs[:N] (worker subprocesses sharing the cache)")
 	)
 	flag.Parse()
 
@@ -97,17 +92,6 @@ func run() error {
 	if *drainGrace > 0 {
 		cfg.DrainGrace = *drainGrace
 	}
-	// The backend outlives every job: pgcd closes it after the drain, once
-	// nothing can still be executing on it.
-	bk, err := campaign.ParseBackend(*backend, cfg.Workers)
-	if err != nil {
-		return err
-	}
-	if bk != nil {
-		defer bk.Close()
-		cfg.Backend = bk
-	}
-
 	srv, err := daemon.Open(cfg)
 	if err != nil {
 		return err

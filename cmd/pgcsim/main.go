@@ -31,9 +31,6 @@ import (
 )
 
 func main() {
-	// When spawned as a campaign worker (-backend procs re-executes this
-	// binary), serve cells over stdio and exit before touching flags.
-	campaign.MaybeWorker()
 	var (
 		workload   = flag.String("workload", "spec.stream_s00", "workload name (see -list)")
 		prefetcher = flag.String("prefetcher", "berti", "L1D prefetcher: "+strings.Join(sim.PrefetcherNames("l1d"), "|")+"|none")
@@ -59,7 +56,6 @@ func main() {
 		check      = flag.Bool("check", false, "run the lockstep functional oracle and invariant sweeps; violations fail the run")
 		checkFF    = flag.Bool("check-failfast", false, "with -check, abort at the first violation instead of accumulating")
 		cacheDir   = flag.String("cache-dir", "", "content-addressed result cache shared with cmd/experiments; a hit skips the simulation (ignored when -metrics-out/-trace-out/-pprof/-trace need a live system)")
-		backend    = flag.String("backend", "local", "execution backend: local (in-process) or procs[:N] (worker subprocesses); procs runs the workload as a one-cell campaign")
 	)
 	flag.Parse()
 
@@ -181,21 +177,6 @@ func main() {
 		}
 	}
 
-	// A non-local backend runs the workload as a one-cell campaign: the
-	// engine keeps scheduling, caching and retries; the backend only
-	// executes the cell (in a worker subprocess).
-	if *backend != "" && *backend != "local" {
-		if *traceFile != "" {
-			fmt.Fprintln(os.Stderr, "pgcsim: -trace needs a live in-process system; use -backend local")
-			os.Exit(1)
-		}
-		if *metricsOut != "" || *traceOut != "" || *pprofOut != "" {
-			fmt.Fprintln(os.Stderr, "pgcsim: -metrics-out/-trace-out/-pprof observe the live system; use -backend local")
-			os.Exit(1)
-		}
-		os.Exit(runBackend(ctx, *backend, cfg, w, *cacheDir))
-	}
-
 	// The result cache serves (and stores) finished statistics only; any
 	// flag that needs the live system or observes the run itself (metrics
 	// snapshot, event trace, CPU profile, ad-hoc trace files whose content
@@ -274,53 +255,6 @@ func main() {
 		}
 	}
 	report(run)
-}
-
-// runBackend executes w as a one-cell campaign on a non-local backend and
-// prints the usual report. The campaign engine owns the cache (so
-// -cache-dir behaves exactly as in local mode) and the retry ledger (so a
-// crashed worker re-runs the cell before anything is reported). Returns
-// the process exit code; the backend is closed on every path.
-func runBackend(ctx context.Context, spec string, cfg sim.Config, w trace.Workload, cacheDir string) int {
-	bk, err := campaign.ParseBackend(spec, 1)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pgcsim: %v\n", err)
-		return 1
-	}
-	defer bk.Close()
-	opts := []campaign.Option{
-		campaign.WithBackend(bk),
-		campaign.WithWorkers(1),
-		// Surface the backend's lifecycle on stderr: worker churn and
-		// retries are exactly what an operator of procs mode needs
-		// to see, and they never pollute the stdout report.
-		campaign.WithEvents(func(ev campaign.Event) {
-			switch ev.Kind {
-			case campaign.EventWorkerJoined, campaign.EventWorkerDied:
-				fmt.Fprintf(os.Stderr, "pgcsim: backend: %s %s\n", ev.Kind, ev.Worker)
-			case campaign.EventCellRetried:
-				fmt.Fprintf(os.Stderr, "pgcsim: backend: retrying (attempt %d): %s\n", ev.Attempt, ev.Err)
-			}
-		}),
-	}
-	if cacheDir != "" {
-		opts = append(opts, campaign.WithCache(cacheDir))
-	}
-	cell := campaign.Cell{ID: w.Name, Config: cfg, Workload: w}
-	rep, err := campaign.Run(ctx, campaign.Spec{Name: "pgcsim", Cells: []campaign.Cell{cell}}, opts...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pgcsim: %v\n", err)
-		return 1
-	}
-	if ferr := rep.Err(); ferr != nil {
-		fmt.Fprintf(os.Stderr, "pgcsim: %v\n", ferr)
-		return 1
-	}
-	if rep.CacheHits > 0 {
-		fmt.Println("(cached)")
-	}
-	report(rep.Runs[w.Name])
-	return 0
 }
 
 // loadWorkloadFile compiles a .wdl file (or stdin for "-") and picks the

@@ -424,8 +424,8 @@ func TestCancelledCampaignCheckpointsAndResumes(t *testing.T) {
 }
 
 // TestDAGOrdersDependencies: the manifest append order proves dependency
-// order even with maximum worker parallelism (steal-half has no legal way
-// to reorder a chain).
+// order even with more workers than cells (a chain has only one ready
+// cell at a time, whichever worker takes it).
 func TestDAGOrdersDependencies(t *testing.T) {
 	spec := tinySpec(t, 3)
 	// Chain: cells[1] after cells[0], cells[2] after cells[1].

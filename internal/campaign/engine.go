@@ -47,13 +47,9 @@ type Exec struct {
 	// fault-free run.
 	CellFault func(ctx context.Context, cellID string, attempt int) error
 	// Backend is where cell attempts execute (nil = Local(), in-process).
-	// The engine borrows the backend for the duration of the run and never
-	// closes it; its creator owns the lifetime, so one backend (and its
-	// worker fleet) can serve many campaigns.
 	Backend Backend
 	// OnEvent, when non-nil, receives the campaign's typed event stream:
-	// cell lifecycle events from the engine and worker lifecycle events
-	// from the backend, serialised into one totally ordered sequence.
+	// cell lifecycle events serialised into one totally ordered sequence.
 	// Every cell that retires produces exactly one terminal event
 	// (completed, cached, resumed or failed), so progress is a count over
 	// the stream. It is called from worker goroutines under the sink's
@@ -97,8 +93,7 @@ func WithCellFault(fn func(ctx context.Context, cellID string, attempt int) erro
 	return func(e *Exec) { e.CellFault = fn }
 }
 
-// WithBackend selects where cell attempts execute (see Exec.Backend). The
-// engine does not close the backend; the caller owns its lifetime.
+// WithBackend selects where cell attempts execute (see Exec.Backend).
 func WithBackend(b Backend) Option { return func(e *Exec) { e.Backend = b } }
 
 // WithEvents installs a callback for the campaign's typed event stream
@@ -171,12 +166,10 @@ func (t *Totals) String() string {
 		t.Simulated, t.CacheHits, t.Resumed, t.Failed)
 }
 
-// Run executes the campaign. Cells with satisfied dependencies run
-// concurrently on a sharded work-stealing pool: each worker owns a deque
-// seeded by cell-ID hash, pops its own work LIFO, and steals half a
-// victim's deque when dry — cheap locality for the common
-// many-independent-cells matrix, automatic balance when one shard's cells
-// run long. A panicking or erroring cell becomes a ledger entry (retryable
+// Run executes the campaign. Cells with satisfied dependencies wait in one
+// FIFO ready queue, seeded in spec order; Exec.Workers goroutines take
+// the oldest ready cell, and a finished cell appends the dependents it
+// unblocks. A panicking or erroring cell becomes a ledger entry (retryable
 // failures retry with backoff), never a campaign abort. The returned error
 // is non-nil only for an invalid spec, an unusable cache/manifest, or a
 // cancelled ctx; the report then holds whatever completed first.
@@ -238,46 +231,6 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Report, error) {
 	return e.rep, ctx.Err()
 }
 
-// shard is one worker's deque: the owner pushes and pops at the back
-// (LIFO — freshly unblocked dependents run while their inputs are warm),
-// thieves take half from the front (the oldest, most likely-independent
-// work).
-type shard struct {
-	mu sync.Mutex
-	q  []int
-}
-
-func (s *shard) push(is ...int) {
-	s.mu.Lock()
-	s.q = append(s.q, is...)
-	s.mu.Unlock()
-}
-
-func (s *shard) pop() (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.q) == 0 {
-		return 0, false
-	}
-	i := s.q[len(s.q)-1]
-	s.q = s.q[:len(s.q)-1]
-	return i, true
-}
-
-// stealHalf removes and returns the front half (at least one) of the
-// deque, or nil when empty.
-func (s *shard) stealHalf() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.q) == 0 {
-		return nil
-	}
-	n := (len(s.q) + 1) / 2
-	got := append([]int(nil), s.q[:n]...)
-	s.q = append(s.q[:0], s.q[n:]...)
-	return got
-}
-
 type engine struct {
 	ctx     context.Context
 	ex      Exec
@@ -288,16 +241,13 @@ type engine struct {
 	resumed map[string]ManifestEntry
 	man     *manifestWriter
 
-	shards []shard
-
-	// mu guards the DAG bookkeeping and the report; cond wakes idle
-	// workers when new cells unblock (or the campaign drains). Lock
-	// order: shard.mu is never held while taking mu.
+	// mu guards the ready queue, the DAG bookkeeping and the report; cond
+	// wakes idle workers when new cells unblock (or the campaign drains).
 	mu         sync.Mutex
 	cond       *sync.Cond
+	ready      []int   // cells whose dependencies are done, oldest first
 	waitDeps   []int   // per-cell unresolved dependency count
 	dependents [][]int // cell -> cells it unblocks
-	ready      int     // cells sitting in some shard
 	remaining  int     // cells not yet finished
 	rep        *Report
 }
@@ -307,11 +257,6 @@ func (e *engine) run() {
 	if n == 0 {
 		return
 	}
-	workers := e.ex.Workers
-	if workers > n {
-		workers = n
-	}
-	e.shards = make([]shard, workers)
 	e.waitDeps = make([]int, n)
 	e.dependents = make([][]int, n)
 	index := make(map[string]int, n)
@@ -328,8 +273,7 @@ func (e *engine) run() {
 	e.remaining = n
 	for i := range e.cells {
 		if e.waitDeps[i] == 0 {
-			e.shards[shardOf(e.cells[i].ID, workers)].push(i)
-			e.ready++
+			e.ready = append(e.ready, i)
 		}
 	}
 
@@ -345,97 +289,53 @@ func (e *engine) run() {
 	defer close(stopWake)
 
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(e.ex.Workers, n); w++ {
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
 			for {
-				ci, ok := e.next(id)
+				ci, ok := e.next()
 				if !ok {
 					return
 				}
 				e.exec(ci)
-				e.finish(ci, id)
+				e.finish(ci)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }
 
-// shardOf spreads cells over worker deques by FNV-1a of their ID, so the
-// initial distribution is deterministic and roughly even.
-func shardOf(id string, workers int) int {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	return int(h % uint64(workers))
-}
-
-// next returns the index of the next cell for worker id, blocking until
-// one unblocks; ok=false when the campaign has drained or ctx is done.
-func (e *engine) next(id int) (int, bool) {
-	for {
-		if i, ok := e.shards[id].pop(); ok {
-			e.took(1)
-			return i, true
-		}
-		for off := 1; off < len(e.shards); off++ {
-			victim := (id + off) % len(e.shards)
-			if got := e.shards[victim].stealHalf(); len(got) > 0 {
-				e.took(len(got))
-				if len(got) > 1 {
-					e.shards[id].push(got[1:]...)
-					e.gave(len(got) - 1)
-				}
-				return got[0], true
-			}
-		}
-		e.mu.Lock()
+// next pops the oldest ready cell, blocking until one unblocks; ok=false
+// when the campaign has drained or ctx is done.
+func (e *engine) next() (int, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for len(e.ready) == 0 {
 		if e.remaining == 0 || e.ctx.Err() != nil {
-			e.mu.Unlock()
 			return 0, false
 		}
-		if e.ready == 0 {
-			e.cond.Wait()
-		}
-		e.mu.Unlock()
+		e.cond.Wait()
 	}
-}
-
-func (e *engine) took(n int) {
-	e.mu.Lock()
-	e.ready -= n
-	e.mu.Unlock()
-}
-
-func (e *engine) gave(n int) {
-	e.mu.Lock()
-	e.ready += n
-	e.mu.Unlock()
-	e.cond.Broadcast()
+	ci := e.ready[0]
+	e.ready = e.ready[1:]
+	return ci, true
 }
 
 // finish retires a cell: its dependents' wait counts drop, newly unblocked
-// cells land on the finishing worker's own deque (they are the natural
-// continuation of what it just computed), and idle workers are woken.
-func (e *engine) finish(ci, workerID int) {
-	var unblocked []int
+// cells join the back of the ready queue, and idle workers are woken.
+func (e *engine) finish(ci int) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.remaining--
+	wake := e.remaining == 0
 	for _, d := range e.dependents[ci] {
 		if e.waitDeps[d]--; e.waitDeps[d] == 0 {
-			unblocked = append(unblocked, d)
+			e.ready = append(e.ready, d)
+			wake = true
 		}
 	}
-	e.ready += len(unblocked)
-	drained := e.remaining == 0
-	e.mu.Unlock()
-	if len(unblocked) > 0 {
-		e.shards[workerID].push(unblocked...)
-	}
-	if len(unblocked) > 0 || drained {
+	if wake {
 		e.cond.Broadcast()
 	}
 }

@@ -1,6 +1,6 @@
 // Package campaign expresses the paper's evaluation — figure matrices,
 // ablation sweeps, multi-core mixes — as a DAG of simulation cells executed
-// on a sharded work-stealing worker pool, with every cell's result memoized
+// on an in-process worker pool, with every cell's result memoized
 // in a content-addressed on-disk cache and checkpointed to a resume
 // manifest. A warm-cache re-run of the whole evaluation performs zero
 // simulations; an interrupted campaign resumes from its manifest; a config

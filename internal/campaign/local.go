@@ -10,17 +10,13 @@ import (
 
 // localBackend executes cells in-process on the calling goroutine. It is
 // stateless: concurrency, retries, timeouts, cache and manifest all live
-// in the engine, so this backend is exactly the pre-backend engine's
-// simulation step. The proc backend's workers reuse it on the far side of
-// the wire, which is what keeps proc results byte-identical to local ones.
+// in the engine, so this backend is only the simulation step.
 type localBackend struct{}
 
 // Local returns the in-process execution backend (the default when no
 // WithBackend option is given). The returned backend is shared and
-// stateless; Close is a no-op.
+// stateless.
 func Local() Backend { return localBackend{} }
-
-func (localBackend) Close() error { return nil }
 
 // ExecuteCell runs one attempt of c, converting panics into *sim.RunError
 // so a poisoned cell cannot take the campaign down. A FailFast checker's

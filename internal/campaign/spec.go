@@ -50,8 +50,8 @@ func (c *Cell) key() (Key, error) {
 type Spec struct {
 	// Name labels the campaign in logs and manifests.
 	Name string
-	// Cells are the DAG nodes; order is the tie-break for scheduling but
-	// not a constraint (use After for constraints).
+	// Cells are the DAG nodes. Ready cells start in this order, but order
+	// is not a constraint: use After for constraints.
 	Cells []Cell
 }
 

@@ -107,13 +107,6 @@ type Config struct {
 	// before cancelling them.
 	DrainGrace time.Duration
 
-	// Backend, when non-nil, is where every job's cells execute — e.g. a
-	// campaign.ProcBackend so each shard is a worker subprocess sharing
-	// CacheDir. Nil means the in-process pool. The daemon never closes
-	// the backend; its owner (cmd/pgcd) closes it after the drain, once
-	// no job can still be using it.
-	Backend campaign.Backend
-
 	// Chaos, when non-nil, injects execution-layer faults (transient cell
 	// failures, stalls) into every campaign — the soak harness's hook.
 	// Exec faults never touch cell content keys, so results under chaos
@@ -462,9 +455,6 @@ func (s *Server) execOptions(j *job) []campaign.Option {
 				j.mu.Unlock()
 			}
 		}),
-	}
-	if s.cfg.Backend != nil {
-		opts = append(opts, campaign.WithBackend(s.cfg.Backend))
 	}
 	if s.store != nil {
 		opts = append(opts, campaign.WithCache(s.store.Dir()))

@@ -34,12 +34,8 @@ type daemonMetrics struct {
 	cellsResumed   *metrics.SyncCounter
 	cellsFailed    *metrics.SyncCounter
 
-	// Backend-stream counters, fed by the campaign event stream: cell
-	// retry attempts and backend worker churn (subprocess spawns/deaths
-	// under a proc backend; always zero under the in-process pool).
-	cellsRetried  *metrics.SyncCounter
-	workersJoined *metrics.SyncCounter
-	workersDied   *metrics.SyncCounter
+	// Fed by the campaign event stream: cell retry attempts.
+	cellsRetried *metrics.SyncCounter
 }
 
 // newDaemonMetrics registers every daemon metric. Registration happens once
@@ -70,9 +66,7 @@ func newDaemonMetrics(s *Server) *daemonMetrics {
 		cellsResumed:   reg.SyncCounter("daemon.cells.resumed"),
 		cellsFailed:    reg.SyncCounter("daemon.cells.failed"),
 
-		cellsRetried:  reg.SyncCounter("daemon.cells.retried"),
-		workersJoined: reg.SyncCounter("daemon.backend.workers_joined"),
-		workersDied:   reg.SyncCounter("daemon.backend.workers_died"),
+		cellsRetried: reg.SyncCounter("daemon.cells.retried"),
 	}
 	reg.GaugeFunc("daemon.queue.depth", func() uint64 { return uint64(s.queueDepth()) })
 	reg.GaugeFunc("daemon.jobs.running", func() uint64 { return uint64(s.runningCount()) })
@@ -98,12 +92,7 @@ func (m *daemonMetrics) addReport(simulated, cached, resumed, failed int) {
 // job's engine via WithEvents; the stream is already serialised per
 // campaign and the counters are sync, so concurrent jobs compose.
 func (m *daemonMetrics) onEvent(ev campaign.Event) {
-	switch ev.Kind {
-	case campaign.EventCellRetried:
+	if ev.Kind == campaign.EventCellRetried {
 		m.cellsRetried.Inc()
-	case campaign.EventWorkerJoined:
-		m.workersJoined.Inc()
-	case campaign.EventWorkerDied:
-		m.workersDied.Inc()
 	}
 }

@@ -43,8 +43,7 @@ type Options struct {
 	// Campaign is the execution policy, as campaign options:
 	// campaign.WithWorkers (concurrent simulations, default NumCPU),
 	// WithRetries/WithRunTimeout (per-run fault isolation), WithCache
-	// (content-addressed result cache), WithResume (checkpoint/resume),
-	// WithBackend (local pool / worker subprocesses) and
+	// (content-addressed result cache), WithResume (checkpoint/resume) and
 	// WithEvents (typed execution event stream). Applied verbatim to every
 	// matrix the experiment runs.
 	Campaign []campaign.Option
@@ -229,12 +228,11 @@ func RunMatrix(o Options, wls []trace.Workload, scens []Scenario) (Matrix, error
 
 // RunMatrixCtx simulates every workload under every scenario as one
 // campaign: each (scenario, workload) pair becomes a cell of a dependency-
-// free DAG executed on the campaign engine's sharded work-stealing pool,
-// with the engine's fault isolation (a panicking or erroring run becomes a
-// typed failure-ledger entry; retryable failures retry with backoff per
+// free DAG executed on the campaign engine's worker pool, with the
+// engine's fault isolation (a panicking or erroring run becomes a typed
+// failure-ledger entry; retryable failures retry with backoff per
 // campaign.WithRetries) and, per the other Options.Campaign options, its
-// content-addressed result cache, checkpoint manifest and execution
-// backend. The returned
+// content-addressed result cache and checkpoint manifest. The returned
 // error is non-nil only when ctx itself is cancelled or expires (or the
 // cache/manifest is unusable); the report then holds whatever completed
 // before teardown.

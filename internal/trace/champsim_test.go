@@ -29,11 +29,11 @@ func readAll(r Reader) []Instr {
 func TestChampSimExpansion(t *testing.T) {
 	ip := uint64(0x400000)
 	recs := []ChampSimRecord{
-		{IP: ip},                                        // plain op
-		{IP: ip + 4, SrcMem: [4]uint64{0x1000}},         // load
-		{IP: ip + 8, DstMem: [2]uint64{0x2000}},         // store
-		{IP: ip + 12, IsBranch: 1, BranchTaken: 1},      // taken: target = next IP
-		{IP: ip + 64, IsBranch: 1, BranchTaken: 0},      // not taken: target = IP+4
+		{IP: ip},                                   // plain op
+		{IP: ip + 4, SrcMem: [4]uint64{0x1000}},    // load
+		{IP: ip + 8, DstMem: [2]uint64{0x2000}},    // store
+		{IP: ip + 12, IsBranch: 1, BranchTaken: 1}, // taken: target = next IP
+		{IP: ip + 64, IsBranch: 1, BranchTaken: 0}, // not taken: target = IP+4
 		{IP: ip + 68, SrcMem: [4]uint64{0x3000, 0x3040}, // multi-operand
 			DstMem: [2]uint64{0x4000}},
 		{IP: ip + 72, IsBranch: 1, BranchTaken: 1}, // last record: fallback IP+4

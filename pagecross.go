@@ -136,8 +136,8 @@ type CacheKey = campaign.Key
 // all previously cached results at once.
 const CacheSchemaVersion = campaign.SchemaVersion
 
-// RunCampaign executes a campaign spec on a sharded work-stealing worker
-// pool with per-cell fault isolation. With WithCache, every cell's result
+// RunCampaign executes a campaign spec on an in-process worker pool that
+// takes ready cells in spec order, with per-cell fault isolation. With WithCache, every cell's result
 // is memoized in a content-addressed on-disk cache — a warm-cache re-run
 // performs zero simulations; with WithResume, completed cells are
 // checkpointed to a manifest and an interrupted campaign picks up where it
@@ -156,36 +156,13 @@ func WithWorkers(n int) CampaignOption { return campaign.WithWorkers(n) }
 // JSONL manifest at path.
 func WithResume(manifest string) CampaignOption { return campaign.WithResume(manifest) }
 
-// CampaignBackend is where a campaign's cells execute: the in-process
-// pool (default) or worker subprocesses sharing the on-disk cache.
-// Backends are owned by their creator — close them after the campaigns
-// they serve.
-type CampaignBackend = campaign.Backend
-
 // CampaignEvent is one entry of a campaign's typed event stream (cell
-// started/cached/resumed/completed/failed/retried, worker joined/died).
+// started/cached/resumed/retried/completed/failed).
 type CampaignEvent = campaign.Event
-
-// WithBackend selects the campaign execution backend (nil = in-process).
-func WithBackend(b CampaignBackend) CampaignOption { return campaign.WithBackend(b) }
 
 // WithEvents installs a callback receiving the campaign's totally ordered
 // typed event stream.
 func WithEvents(fn func(CampaignEvent)) CampaignOption { return campaign.WithEvents(fn) }
-
-// NewProcBackend forks n worker subprocesses (re-executing this binary,
-// which must call campaign.MaybeWorker — the repo's CLIs do) and executes
-// cells on them over length-prefixed JSON stdio. A crashed worker's cell
-// is retried on another shard via the campaign retry ledger.
-func NewProcBackend(n int) CampaignBackend {
-	return campaign.NewProcBackend(campaign.ProcConfig{Workers: n})
-}
-
-// ParseBackend resolves the CLI backend syntax: "local" (nil backend) or
-// "procs[:N]"; workers sizes an unsuffixed "procs".
-func ParseBackend(spec string, workers int) (CampaignBackend, error) {
-	return campaign.ParseBackend(spec, workers)
-}
 
 // CacheKeyOf returns the result-cache key RunCampaign would use for one
 // single-core cell — campaign.ErrUncacheable for fault-injected configs.
