@@ -127,16 +127,6 @@ func (c Config) Validate() error {
 // SizeBytes returns the capacity of the configuration.
 func (c Config) SizeBytes() int { return c.Sets * c.Ways * mem.LineSize }
 
-// mshr is one MSHR: a fill in flight at this level. The line it fetches is
-// kept in the parallel packed row Cache.mshrLines.
-type mshr struct {
-	issue       uint64 // cycle the fill request entered this level
-	ready       uint64
-	pageCross   bool
-	demandMerge bool // a demand access merged while in flight
-	leaked      bool // fault injection: the MSHR release for this fill is lost
-}
-
 // invalidTag marks an empty way in the packed tag array. No reachable
 // physical address produces it: a real tag is PA.LineID() >> log2(sets),
 // far below 2^64-1 for any physical memory the simulator can configure.
@@ -175,24 +165,9 @@ type Cache struct {
 	// Observe a single branch.
 	mshrHist *metrics.Histogram
 
-	// leakEveryN, when non-zero, loses the MSHR release of every Nth
-	// completed fill (fault injection: a bookkeeping leak the oracle's
-	// leak-freedom invariant must catch).
-	leakEveryN uint64
-	gcReleases uint64
-
-	// mshrs is the MSHR file: one value entry per fill in flight, allocated
-	// once at the configured capacity. mshrLines is its packed line-ID row,
-	// parallel to it, so the associative MSHR lookup scans one contiguous
-	// array (as tags does for the sets). Retirement swap-removes entries;
-	// only an injected leak can grow the file past its capacity.
-	mshrs     []mshr
-	mshrLines []uint64
-	// minReady is a lower bound on the earliest completion cycle over the
-	// non-leaked MSHRs (^0 when none). gcOutstanding runs on every access;
-	// with this bound the common case — nothing has completed since the
-	// last sweep — is one comparison.
-	minReady uint64
+	// mshrs is the MSHR file, swept lazily: a completed fill leaves it
+	// when a later access at or after its ready cycle arrives.
+	mshrs mshrFile
 
 	// lowReq is the scratch request reused for every forward to the lower
 	// level (and writeback forwarding). The hierarchy is driven by a single
@@ -241,9 +216,7 @@ func New(cfg Config, lower Level) (*Cache, error) {
 		tags:        tags,
 		lrus:        make([]uint64, cfg.Sets*cfg.Ways),
 		setShift:    uint(log2(cfg.Sets)),
-		mshrs:       make([]mshr, 0, cfg.MSHRs),
-		mshrLines:   make([]uint64, 0, cfg.MSHRs),
-		minReady:    ^uint64(0),
+		mshrs:       newMSHRFile(cfg.MSHRs),
 		missLatEWMA: 300, // sane prior until real misses calibrate it
 		Stats:       &stats.CacheStats{},
 	}, nil
@@ -287,73 +260,16 @@ func (c *Cache) lookup(pa mem.PAddr) *Block {
 	return nil
 }
 
-// findMSHR scans the packed MSHR line row and returns the entry fetching
-// line, or -1.
-func (c *Cache) findMSHR(line uint64) int {
-	for i, l := range c.mshrLines {
-		if l == line {
-			return i
-		}
-	}
-	return -1
-}
-
-// retireMSHR frees entry i by moving the file's last entry into its slot.
-func (c *Cache) retireMSHR(i int) {
-	last := len(c.mshrs) - 1
-	c.mshrs[i] = c.mshrs[last]
-	c.mshrLines[i] = c.mshrLines[last]
-	c.mshrs = c.mshrs[:last]
-	c.mshrLines = c.mshrLines[:last]
-}
-
-// gcOutstanding retires completed MSHR entries. The minReady watermark makes
-// the no-op case (no non-leaked fill has completed yet) a single comparison;
-// the set of entries retired is identical to a full sweep, since cycle <
-// minReady implies no non-leaked entry satisfies ready <= cycle. Leaked
-// entries are excluded from the watermark — they never retire, and tracking
-// them would force a full sweep on every access ever after.
-func (c *Cache) gcOutstanding(cycle uint64) {
-	if cycle < c.minReady {
-		return
-	}
-	min := ^uint64(0)
-	for i := 0; i < len(c.mshrs); {
-		e := &c.mshrs[i]
-		if e.leaked {
-			i++
-			continue
-		}
-		if e.ready <= cycle {
-			if n := c.leakEveryN; n > 0 {
-				c.gcReleases++
-				if c.gcReleases%n == 0 {
-					e.leaked = true // release lost: the entry stays allocated
-					i++
-					continue
-				}
-			}
-			c.retireMSHR(i) // slot i now holds an unvisited entry
-			continue
-		}
-		if e.ready < min {
-			min = e.ready
-		}
-		i++
-	}
-	c.minReady = min
-}
-
 // InjectMSHRLeak makes every Nth MSHR release be lost (0 disables): the
 // completed fill's entry stays allocated forever, so occupancy creeps up
 // until the leak-freedom invariant trips. Fault injection for the oracle.
-func (c *Cache) InjectMSHRLeak(everyN uint64) { c.leakEveryN = everyN }
+func (c *Cache) InjectMSHRLeak(everyN uint64) { c.mshrs.leakEveryN = everyN }
 
 // OutstandingMisses reports the number of in-flight fills at the given
 // cycle; the adaptive thresholding scheme uses it as ROB/L1D pressure input.
 func (c *Cache) OutstandingMisses(cycle uint64) int {
-	c.gcOutstanding(cycle)
-	return len(c.mshrs)
+	c.mshrs.sweep(cycle)
+	return c.mshrs.len()
 }
 
 // Access implements Level.
@@ -366,8 +282,8 @@ func (c *Cache) Access(req *Request, cycle uint64) uint64 {
 }
 
 func (c *Cache) access(req *Request, cycle uint64) uint64 {
-	c.gcOutstanding(cycle)
-	c.mshrHist.Observe(uint64(len(c.mshrs)))
+	c.mshrs.sweep(cycle)
+	c.mshrHist.Observe(uint64(c.mshrs.len()))
 	demand := req.Type.IsDemand()
 	if demand {
 		c.Stats.DemandAccesses++
@@ -431,9 +347,9 @@ func (c *Cache) access(req *Request, cycle uint64) uint64 {
 	// usefulness the same way a post-fill hit would (late-but-useful
 	// prefetch).
 	line := req.PA.LineID()
-	fi := c.findMSHR(line)
-	if fi >= 0 && cycle >= c.mshrs[fi].issue {
-		fl := &c.mshrs[fi]
+	fi := c.mshrs.find(line)
+	if fi >= 0 && cycle >= c.mshrs.entries[fi].issue {
+		fl := &c.mshrs.entries[fi]
 		if demand {
 			c.Stats.DemandMisses++
 			fl.demandMerge = true
@@ -466,25 +382,19 @@ func (c *Cache) access(req *Request, cycle uint64) uint64 {
 			c.OnDemandMiss(req)
 		}
 	}
-	if req.Type == mem.Prefetch && len(c.mshrs) >= c.cfg.MSHRs {
+	if req.Type == mem.Prefetch && c.mshrs.len() >= c.cfg.MSHRs {
 		// Prefetches are dropped when MSHRs are exhausted.
 		c.Stats.MSHRDropPrefetch++
 		return cycle
 	}
 	issue := cycle
-	if len(c.mshrs) >= c.cfg.MSHRs {
+	if c.mshrs.len() >= c.cfg.MSHRs {
 		c.Stats.MSHRFullWaits++
 		// Demand miss with full MSHRs: wait for the earliest completion.
-		earliest := ^uint64(0)
-		for i := range c.mshrs {
-			if r := c.mshrs[i].ready; r < earliest {
-				earliest = r
-			}
-		}
-		issue = earliest
-		c.gcOutstanding(issue)
+		issue = c.mshrs.earliest()
+		c.mshrs.sweep(issue)
 		if fi >= 0 {
-			fi = c.findMSHR(line) // retirement may have moved the entry
+			fi = c.mshrs.find(line) // retirement may have moved the entry
 		}
 	}
 
@@ -500,13 +410,9 @@ func (c *Cache) access(req *Request, cycle uint64) uint64 {
 	// A line whose fill is already in flight (issued after this access's
 	// cycle) is re-issued in place, so the file never holds one line twice.
 	if fi >= 0 {
-		c.mshrs[fi] = fl
+		c.mshrs.reissue(fi, fl)
 	} else {
-		c.mshrs = append(c.mshrs, fl)
-		c.mshrLines = append(c.mshrLines, line)
-	}
-	if ready < c.minReady {
-		c.minReady = ready
+		c.mshrs.alloc(line, fl)
 	}
 	if demand && ready > cycle {
 		c.missLatEWMA = (c.missLatEWMA*7 + (ready - cycle)) / 8
@@ -689,6 +595,7 @@ func (c *Cache) ServedHit(pa mem.PAddr) (served, resident bool) {
 // CheckInvariants verifies the level's structural invariants at the given
 // cycle and returns the first violation, nil when clean:
 //
+//   - the MSHR file's line index and ready row agree with its entries;
 //   - MSHR leak-freedom: after retiring completed fills, every remaining
 //     entry is genuinely in flight (ready > cycle) — a completed fill still
 //     occupying an MSHR is a lost release;
@@ -700,17 +607,9 @@ func (c *Cache) ServedHit(pa mem.PAddr) (served, resident bool) {
 // It calls the same lazy gc every access path runs, so checking is
 // semantically invisible to the timing model.
 func (c *Cache) CheckInvariants(cycle uint64) error {
-	c.gcOutstanding(cycle)
-	if got := len(c.mshrs); got > c.cfg.MSHRs {
-		return fmt.Errorf("mshr-overflow: %s holds %d in-flight fills with %d MSHRs", c.cfg.Name, got, c.cfg.MSHRs)
-	}
-	for i, fl := range c.mshrs {
-		if fl.ready <= cycle {
-			return fmt.Errorf("mshr-leak: %s line %#x completed at cycle %d but still occupies an MSHR at cycle %d", c.cfg.Name, c.mshrLines[i], fl.ready, cycle)
-		}
-		if fl.issue > fl.ready {
-			return fmt.Errorf("mshr-time-order: %s line %#x issued at %d after its ready cycle %d", c.cfg.Name, c.mshrLines[i], fl.issue, fl.ready)
-		}
+	c.mshrs.sweep(cycle)
+	if err := c.mshrs.check(c.cfg.Name, c.cfg.MSHRs, cycle); err != nil {
+		return err
 	}
 	ways := uint64(c.cfg.Ways)
 	for si := range c.sets {
@@ -758,9 +657,7 @@ func (c *Cache) Flush() {
 		c.tags[i] = invalidTag
 		c.lrus[i] = 0
 	}
-	c.mshrs = c.mshrs[:0]
-	c.mshrLines = c.mshrLines[:0]
-	c.minReady = ^uint64(0)
+	c.mshrs.flush()
 }
 
 // warmable is the optional functional-warm interface of a lower level; the

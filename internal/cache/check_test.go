@@ -43,14 +43,12 @@ func TestCheckInvariantsCatchesOverflowAndOrdering(t *testing.T) {
 	c := smallCache(t, &fakeLower{latency: 20})
 	// More live entries than MSHRs: capacity accounting broke somewhere.
 	for i := 0; i <= c.cfg.MSHRs; i++ {
-		c.mshrs = append(c.mshrs, mshr{issue: 0, ready: 1 << 40})
-		c.mshrLines = append(c.mshrLines, uint64(i))
+		c.mshrs.alloc(uint64(i), mshr{issue: 0, ready: 1 << 40})
 	}
 	checkAfter(t, c, 100, "mshr-overflow:")
 
 	c = smallCache(t, &fakeLower{latency: 20})
-	c.mshrs = append(c.mshrs, mshr{issue: 500, ready: 400})
-	c.mshrLines = append(c.mshrLines, 7)
+	c.mshrs.alloc(7, mshr{issue: 500, ready: 400})
 	checkAfter(t, c, 100, "mshr-time-order:")
 }
 

@@ -10,7 +10,7 @@ import "fmt"
 //   - every system-feature counter within its saturation range;
 //   - the threshold ladder index within the configured ladder;
 //   - the update buffers holding no duplicate keys (vUB/pUB are keyed
-//     associatively);
+//     associatively), with their key indexes in step with their key rows;
 //   - training counters consistent (vUB hits are positive trainings).
 //
 // It returns the first violation found, nil when clean.
@@ -47,7 +47,9 @@ func (f *Filter) CheckBounds() error {
 	return nil
 }
 
-// checkBounds verifies an update buffer holds no duplicate keys.
+// checkBounds verifies an update buffer holds no duplicate keys, and that
+// its key index, free-slot bitmap and insertion order agree with its key
+// row (index-desync).
 func (b *UpdateBuffer) checkBounds() error {
 	seen := make(map[uint64]struct{}, len(b.keys))
 	for _, k := range b.keys {
@@ -58,6 +60,24 @@ func (b *UpdateBuffer) checkBounds() error {
 			return fmt.Errorf("duplicate-key: key %#x held twice", k)
 		}
 		seen[k] = struct{}{}
+	}
+	for i, k := range b.keys {
+		if free := b.free[i/64]&(1<<(i%64)) != 0; free != (k == emptyKey) {
+			return fmt.Errorf("index-desync: slot %d holds key %#x but its free bit is %v", i, k, free)
+		}
+		if k != emptyKey && b.index.Get(k) != i {
+			return fmt.Errorf("index-desync: key %#x in slot %d, key index says %d", k, i, b.index.Get(k))
+		}
+	}
+	if b.index.Len() != len(seen) {
+		return fmt.Errorf("index-desync: key index holds %d keys for %d held slots", b.index.Len(), len(seen))
+	}
+	n := 0
+	for i := b.oldest; i >= 0 && n <= len(b.keys); i = b.order[i].newer {
+		n++
+	}
+	if n != len(seen) {
+		return fmt.Errorf("index-desync: insertion order links %d slots for %d held", n, len(seen))
 	}
 	return nil
 }

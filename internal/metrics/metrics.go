@@ -76,14 +76,22 @@ func (c *Counter) Reset() {
 
 // Histogram is a fixed-bucket distribution over uint64 samples. Bounds are
 // inclusive upper edges; samples above the last bound land in an implicit
-// overflow bucket. Observe is allocation-free (a linear scan over a handful
-// of bounds) and nil-safe.
+// overflow bucket. Observe is allocation-free and nil-safe. When the last
+// bound is at most bucketTableMax, a table built at construction maps each
+// sample to its bucket in one load — the shape of per-access occupancy
+// histograms such as "*.mshr_occupancy"; otherwise Observe scans the
+// handful of bounds.
 type Histogram struct {
-	bounds []uint64
-	counts []uint64 // len(bounds)+1; last is overflow
-	sum    uint64
-	count  uint64
+	bounds   []uint64
+	counts   []uint64 // len(bounds)+1; last is overflow
+	bucketOf []uint16 // bucket of each sample 0..last bound, or nil
+	sum      uint64
+	count    uint64
 }
+
+// bucketTableMax is the largest last bound for which a histogram builds its
+// sample→bucket table (2 KiB at most).
+const bucketTableMax = 1023
 
 // NewHistogram builds a histogram over the given strictly increasing
 // inclusive upper bounds.
@@ -97,10 +105,21 @@ func NewHistogram(bounds []uint64) (*Histogram, error) {
 				bounds[i], bounds[i-1])
 		}
 	}
-	return &Histogram{
+	h := &Histogram{
 		bounds: append([]uint64(nil), bounds...),
 		counts: make([]uint64, len(bounds)+1),
-	}, nil
+	}
+	if last := bounds[len(bounds)-1]; last <= bucketTableMax {
+		h.bucketOf = make([]uint16, last+1)
+		i := 0
+		for v := range h.bucketOf {
+			if uint64(v) > bounds[i] {
+				i++
+			}
+			h.bucketOf[v] = uint16(i)
+		}
+	}
+	return h, nil
 }
 
 // ExpBounds returns n bounds growing geometrically from start by factor
@@ -132,6 +151,14 @@ func (h *Histogram) Observe(v uint64) {
 	}
 	h.sum += v
 	h.count++
+	switch {
+	case v < uint64(len(h.bucketOf)):
+		h.counts[h.bucketOf[v]]++
+		return
+	case h.bucketOf != nil: // above the last bound
+		h.counts[len(h.bounds)]++
+		return
+	}
 	for i, b := range h.bounds {
 		if v <= b {
 			h.counts[i]++

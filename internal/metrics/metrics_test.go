@@ -105,6 +105,48 @@ func TestHistogramInvariants(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveMatchesScan pins the bucket table against the scan
+// over the bounds for every sample from 0 to one past the last bound: the
+// MSHR-occupancy shape, ExpBounds shapes on both sides of bucketTableMax,
+// and single-bound edges.
+func TestHistogramObserveMatchesScan(t *testing.T) {
+	for _, bounds := range [][]uint64{
+		{0, 1, 2, 4, 8, 16, 32, 64, 128},
+		ExpBounds(1, 2, 10),
+		ExpBounds(10, 2, 8),
+		ExpBounds(1, 1.3, 30),
+		{0},
+		{bucketTableMax},
+		{5, bucketTableMax + 1},
+	} {
+		h, err := NewHistogram(bounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := bounds[len(bounds)-1]
+		if tabled := h.bucketOf != nil; tabled != (last <= bucketTableMax) {
+			t.Fatalf("bounds %v: bucket table built %v", bounds, tabled)
+		}
+		for v := uint64(0); v <= last+1; v++ {
+			want := len(bounds)
+			for i, b := range bounds {
+				if v <= b {
+					want = i
+					break
+				}
+			}
+			before := h.counts[want]
+			h.Observe(v)
+			if h.counts[want] != before+1 {
+				t.Fatalf("bounds %v: sample %d missed bucket %d (counts %v)", bounds, v, want, h.counts)
+			}
+		}
+		if h.Count() != last+2 {
+			t.Fatalf("bounds %v: count %d, want %d", bounds, h.Count(), last+2)
+		}
+	}
+}
+
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(5)

@@ -127,45 +127,50 @@ func (b *Berti) Train(a Access) []Candidate {
 		}
 	}
 
-	// Issue: best deltas above the confidence threshold.
+	return b.issue(e, line)
+}
+
+// issue returns the candidates of entry e for an access to line: its
+// degree most confident deltas at or above the issue threshold, higher
+// confidence first and ties to the lower slot, stopping at the first target
+// below address zero. One pass selects them, since bumpDelta keeps an
+// entry's valid deltas distinct.
+func (b *Berti) issue(e *bertiIPEntry, line int64) []Candidate {
+	// top holds the selected slots, best first, and topConf their
+	// confidences: an insertion sort bounded by the degree.
+	var top [bertiDeltasPerIP]int8
+	var topConf [bertiDeltasPerIP]int32
+	n, k := 0, min(b.degree, bertiDeltasPerIP)
+	for j := range e.deltas {
+		d := &e.deltas[j]
+		if !d.valid || d.conf < bertiIssueConf {
+			continue
+		}
+		c := int32(d.conf)
+		if n == k {
+			if n == 0 || topConf[n-1] >= c {
+				continue
+			}
+			n-- // the last selected falls out
+		}
+		p := n
+		for ; p > 0 && topConf[p-1] < c; p-- {
+			top[p], topConf[p] = top[p-1], topConf[p-1]
+		}
+		top[p], topConf[p] = int8(j), c
+		n++
+	}
 	out := b.buf[:0]
-	for round := 0; round < b.degree; round++ {
-		best := -1
-		bestConf := bertiIssueConf - 1
-		for j := range e.deltas {
-			d := &e.deltas[j]
-			if !d.valid || d.conf <= bestConf {
-				continue
-			}
-			if containsDelta(out, d.delta) {
-				continue
-			}
-			best, bestConf = j, d.conf
-		}
-		if best == -1 {
+	for _, j := range top[:n] {
+		d := &e.deltas[j]
+		t, ok := targetOf(line + d.delta)
+		if !ok {
 			break
 		}
-		if t, ok := targetOf(line + e.deltas[best].delta); ok {
-			out = append(out, Candidate{
-				Target: t,
-				Delta:  e.deltas[best].delta,
-				Meta:   uint64(e.deltas[best].conf),
-			})
-		} else {
-			break
-		}
+		out = append(out, Candidate{Target: t, Delta: d.delta, Meta: uint64(d.conf)})
 	}
 	b.buf = out
 	return out
-}
-
-func containsDelta(cs []Candidate, d int64) bool {
-	for _, c := range cs {
-		if c.Delta == d {
-			return true
-		}
-	}
-	return false
 }
 
 func (b *Berti) bumpDelta(e *bertiIPEntry, d int64) {

@@ -4,9 +4,10 @@ import "fmt"
 
 // CheckInvariants verifies the metadata bounds of a prefetch engine: FDP
 // aggressiveness within its ladder, BOP round state within its scoring
-// bounds, Berti confidence counters within their saturation range. Engines
-// without checkable metadata pass trivially. Returns the first violation,
-// nil when clean.
+// bounds, Berti confidence counters within their saturation range and each
+// Berti entry's valid deltas distinct, which its issue selection relies on.
+// Engines without checkable metadata pass trivially. Returns the first
+// violation, nil when clean.
 func CheckInvariants(p Prefetcher) error {
 	switch e := p.(type) {
 	case *Throttle:
@@ -43,6 +44,11 @@ func CheckInvariants(p Prefetcher) error {
 				}
 				if d.delta == 0 || d.delta > bertiMaxDelta || d.delta < -bertiMaxDelta {
 					return fmt.Errorf("berti-delta-bounds: entry %d tracks delta %d outside ±%d", t, d.delta, bertiMaxDelta)
+				}
+				for _, o := range ent.deltas[j+1:] {
+					if o.valid && o.delta == d.delta {
+						return fmt.Errorf("berti-duplicate-delta: entry %d tracks delta %d twice", t, d.delta)
+					}
 				}
 			}
 		}

@@ -63,5 +63,12 @@ func TestCheckInvariants(t *testing.T) {
 		if err := CheckInvariants(be); err == nil || !strings.HasPrefix(err.Error(), "berti-delta-bounds:") {
 			t.Fatalf("CheckInvariants = %v", err)
 		}
+		be = NewBerti()
+		for _, j := range []int{3, 9} {
+			be.table[0].deltas[j] = bertiDelta{delta: -2, conf: 5, valid: true}
+		}
+		if err := CheckInvariants(be); err == nil || !strings.HasPrefix(err.Error(), "berti-duplicate-delta:") {
+			t.Fatalf("CheckInvariants = %v", err)
+		}
 	})
 }
