@@ -181,25 +181,30 @@ func (m *MMU) translate(l1 *tlb.TLB, va mem.VAddr, cycle uint64, demand, allowWa
 
 // WarmData functionally translates a data access: TLB residency, LRU state
 // and PSC contents update as a demand translation would update them, but no
-// statistics move, no memory reads are issued and no timing is modelled.
-// Used by the interval sampler's functional-warmup gaps.
-func (m *MMU) WarmData(va mem.VAddr) vmem.Translation { return m.warm(m.DTLB, va) }
+// statistics move, no memory reads are issued and no timing is modelled. The
+// page-table reads a walk would have issued are appended to reads (see
+// ptw.WarmWalk). Used by the interval sampler's functional-warmup gaps.
+func (m *MMU) WarmData(va mem.VAddr, reads []mem.PAddr) (vmem.Translation, []mem.PAddr) {
+	return m.warm(m.DTLB, va, reads)
+}
 
 // WarmInstr functionally translates an instruction fetch (see WarmData).
-func (m *MMU) WarmInstr(va mem.VAddr) vmem.Translation { return m.warm(m.ITLB, va) }
+func (m *MMU) WarmInstr(va mem.VAddr, reads []mem.PAddr) (vmem.Translation, []mem.PAddr) {
+	return m.warm(m.ITLB, va, reads)
+}
 
-func (m *MMU) warm(l1 *tlb.TLB, va mem.VAddr) vmem.Translation {
+func (m *MMU) warm(l1 *tlb.TLB, va mem.VAddr, reads []mem.PAddr) (vmem.Translation, []mem.PAddr) {
 	if tr, hit := l1.Lookup(va, false); hit {
-		return tr
+		return tr, reads
 	}
 	if tr, hit := m.STLB.Lookup(va, false); hit {
 		l1.InsertQuiet(va, tr)
-		return tr
+		return tr, reads
 	}
-	tr := m.PTW.WarmWalk(va)
+	tr, reads := m.PTW.WarmWalk(va, reads)
 	m.STLB.InsertQuiet(va, tr)
 	l1.InsertQuiet(va, tr)
-	return tr
+	return tr, reads
 }
 
 // CheckInvariants verifies the whole translation path: every TLB level's

@@ -18,20 +18,27 @@ func TestWarmFillsTranslationPathQuietly(t *testing.T) {
 	dva := mem.VAddr(0x7000_1111_2000)
 	iva := mem.VAddr(0x0000_5555_3000)
 
-	if got, want := mm.WarmData(dva), as.Translate(dva); got != want {
-		t.Fatalf("WarmData translation = %+v, want %+v", got, want)
+	tr, reads := mm.WarmData(dva, nil)
+	if want := as.Translate(dva); tr != want {
+		t.Fatalf("WarmData translation = %+v, want %+v", tr, want)
 	}
-	// Re-warming hits the freshly filled dTLB and returns the same mapping.
-	if got, want := mm.WarmData(dva), as.Translate(dva); got != want {
-		t.Fatalf("repeat WarmData translation = %+v, want %+v", got, want)
+	// A cold walk reports every page-table read it would have issued, for
+	// the caller to install; the walker itself touches no cache.
+	if len(reads) == 0 {
+		t.Fatal("cold WarmData reported no page-table reads")
 	}
-	if got, want := mm.WarmInstr(iva), as.Translate(iva); got != want {
-		t.Fatalf("WarmInstr translation = %+v, want %+v", got, want)
+	// Re-warming hits the freshly filled dTLB and returns the same mapping
+	// with no walk, so nothing is appended.
+	if tr, again := mm.WarmData(dva, reads); tr != as.Translate(dva) || len(again) != len(reads) {
+		t.Fatalf("repeat WarmData = %+v with %d reads, want %+v with %d", tr, len(again), as.Translate(dva), len(reads))
+	}
+	if tr, _ := mm.WarmInstr(iva, nil); tr != as.Translate(iva) {
+		t.Fatalf("WarmInstr translation = %+v, want %+v", tr, as.Translate(iva))
 	}
 	// The data warm populated the shared sTLB, so warming the same page on
 	// the instruction side exercises the sTLB-hit fill into the iTLB.
-	if got, want := mm.WarmInstr(dva), as.Translate(dva); got != want {
-		t.Fatalf("cross-path WarmInstr translation = %+v, want %+v", got, want)
+	if tr, reads := mm.WarmInstr(dva, nil); tr != as.Translate(dva) || len(reads) != 0 {
+		t.Fatalf("cross-path WarmInstr = %+v with %d reads, want %+v with none", tr, len(reads), as.Translate(dva))
 	}
 
 	// Residency gauges (TLB occupancy) legitimately move; every event

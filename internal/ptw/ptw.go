@@ -126,18 +126,11 @@ type inflightWalk struct {
 	tr    vmem.Translation
 }
 
-// warmable is the residency-only fill interface the cache hierarchy exposes
-// for functional warmup.
-type warmable interface {
-	Warm(pa mem.PAddr, store bool)
-}
-
 // Walker is the hardware page-table walker for one core.
 type Walker struct {
 	cfg   Config
 	as    *vmem.AddressSpace
 	level cache.Level // where walk reads are issued (the L1D, per ChampSim)
-	warm  warmable    // level's functional-warm path; nil when it has none
 	pscs  [vmem.LevelPT]*psc
 
 	// walks is the walk file, allocated once at MaxInflight: one value entry
@@ -182,7 +175,6 @@ func New(cfg Config, as *vmem.AddressSpace, level cache.Level) (*Walker, error) 
 		walkVPNs: make([]uint64, 0, cfg.MaxInflight),
 		Stats:    &stats.PTWStats{},
 	}
-	w.warm, _ = level.(warmable)
 	for l := range w.pscs {
 		w.pscs[l] = newPSC(cfg.PSCEntries[l])
 	}
@@ -268,23 +260,22 @@ func (w *Walker) Walk(va mem.VAddr, cycle uint64, speculative bool) (vmem.Transl
 	return tr, ready
 }
 
-// WarmWalk functionally resolves va, updating exactly the state a detailed
-// walk would touch — the PSCs and the cache residency of the page-table
-// lines it reads — with no statistics, no timing and no walk-file entry.
-// Warming the PTE lines matters as much as warming the PSCs: on
-// translation-intensive workloads, walks that miss to DRAM dominate the
-// post-gap transient of the interval sampler's functional-warmup gaps.
-func (w *Walker) WarmWalk(va mem.VAddr) vmem.Translation {
+// WarmWalk functionally resolves va, updating exactly the walker state a
+// detailed walk would touch — the PSCs — with no statistics, no timing and no
+// walk-file entry. It appends the physical addresses of the page-table reads
+// the walk would issue, in order, to reads and returns them: the caller
+// installs those lines, since on translation-intensive workloads walks that
+// miss to DRAM dominate the post-gap transient of the interval sampler's
+// functional-warmup gaps.
+func (w *Walker) WarmWalk(va mem.VAddr, reads []mem.PAddr) (vmem.Translation, []mem.PAddr) {
 	steps, tr, firstLevel := w.descend(va)
 	for i := firstLevel; i < len(steps); i++ {
-		if w.warm != nil {
-			w.warm.Warm(steps[i].PA, false)
-		}
+		reads = append(reads, steps[i].PA)
 		if i < len(steps)-1 {
 			w.pscs[steps[i].Level].insert(tagFor(va, steps[i].Level))
 		}
 	}
-	return tr
+	return tr, reads
 }
 
 // descend resolves va into the reusable step list and probes all PSCs in

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/dram"
-	"repro/internal/sample"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -103,12 +102,11 @@ func (m *MultiSystem) RunMix(ctx context.Context, mix []trace.Workload) ([]*stat
 		if err := sc.Validate(); err != nil {
 			return nil, &RunError{Workload: mix[0].Name, Stage: "setup", Err: err}
 		}
-		for i := range mix {
-			warmer := &sample.Warmer{Ops: m.Systems[i], Replay: true}
-			if _, err := m.Systems[i].warm(ctx, warmer, readers[i], m.cfg.PerCore.WarmupInstrs); err != nil {
+		for i, sys := range m.Systems {
+			if err := sys.warmup(ctx, readers[i], m.cfg.PerCore.WarmupInstrs); err != nil {
 				return nil, &RunError{Workload: mix[i].Name, Stage: "warmup", Err: err}
 			}
-			m.Systems[i].gapReset()
+			sys.gapReset()
 		}
 	} else {
 		for i := range mix {

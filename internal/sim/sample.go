@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 
-	"repro/internal/mem"
 	"repro/internal/prefetch"
 	"repro/internal/sample"
 	"repro/internal/stats"
@@ -13,33 +12,6 @@ import (
 // SampleConfig aliases the sampling configuration so callers configure
 // sampling through sim.Config without importing internal/sample.
 type SampleConfig = sample.Config
-
-// WarmFetch implements sample.Ops: the functional instruction path. The
-// iTLB/sTLB/PSC hierarchy and the instruction-side caches update their
-// residency and replacement state; no statistics move and no timing is
-// modelled. Instruction prefetchers do not train on warm traffic — the
-// detailed ramp preceding each measured interval re-trains them.
-func (s *System) WarmFetch(pc uint64) {
-	va := mem.VAddr(pc)
-	tr := s.MMU.WarmInstr(va)
-	s.L1I.Warm(tr.PA(va), false)
-}
-
-// WarmLoad implements sample.Ops: the functional data-load path.
-func (s *System) WarmLoad(va uint64) {
-	v := mem.VAddr(va)
-	tr := s.MMU.WarmData(v)
-	s.L1D.Warm(tr.PA(v), false)
-}
-
-// WarmStore implements sample.Ops: the functional data-store path; the
-// warmed line is installed (or marked) dirty, so writeback traffic after
-// the gap matches what detailed execution would have produced.
-func (s *System) WarmStore(va uint64) {
-	v := mem.VAddr(va)
-	tr := s.MMU.WarmData(v)
-	s.L1D.Warm(tr.PA(v), true)
-}
 
 // gapReset clears the cross-access correlation state that must not span a
 // functional-warmup gap: the prefetchers' last-address/history registers
@@ -56,31 +28,6 @@ func (s *System) gapReset() {
 	s.prevPC1, s.prevPC2 = 0, 0
 }
 
-// warmChunk bounds how many instructions are warmed between cancellation
-// checks; warm throughput is tens of ns/instr, so teardown latency stays
-// around a millisecond.
-const warmChunk = 1 << 16
-
-// warm fast-forwards n instructions functionally, honouring ctx at chunk
-// boundaries. ended reports trace exhaustion (only without replay).
-func (s *System) warm(ctx context.Context, w *sample.Warmer, r trace.Reader, n uint64) (ended bool, err error) {
-	for n > 0 {
-		c := uint64(warmChunk)
-		if c > n {
-			c = n
-		}
-		consumed, end := w.Run(r, c)
-		n -= consumed
-		if end {
-			return true, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-	}
-	return false, nil
-}
-
 // runSampled executes the interval-sampling schedule: the warmup phase runs
 // functionally, then each plan segment fast-forwards its gap, re-warms
 // fine-grained timing state over a detailed (but stats-excluded) ramp, and
@@ -95,35 +42,40 @@ func (s *System) runSampled(ctx context.Context, name, suite string, reader trac
 	if sc.Seed == 0 {
 		sc.Seed = sample.SeedFromName(name)
 	}
-	warmer := &sample.Warmer{Ops: s, Replay: s.cfg.Core.ReplayOnEnd}
+	pipe := s.newWarmPipe(s.cfg.Core.ReplayOnEnd)
+	defer pipe.stop()
 
 	if s.cfg.WarmupInstrs > 0 {
-		if _, err := s.warm(ctx, warmer, reader, s.cfg.WarmupInstrs); err != nil {
+		if _, err := pipe.warm(ctx, reader, s.cfg.WarmupInstrs); err != nil {
 			return nil, &RunError{Workload: name, Stage: "warmup", Err: err}
 		}
 		s.gapReset()
 		s.ResetStats()
 	}
 
-	excluded := &stats.Run{}
+	// excluded accumulates the ramps' counters; before and after bracket
+	// one ramp and are reused, so a run's allocations do not grow with its
+	// segment count.
+	excluded, before, after := &stats.Run{}, &stats.Run{}, &stats.Run{}
 	for _, seg := range sc.Plan(s.cfg.SimInstrs) {
 		s.mSampleSegments.Inc()
 		ended := false
 		if seg.Warm > 0 {
 			var err error
-			if ended, err = s.warm(ctx, warmer, reader, seg.Warm); err != nil {
+			if ended, err = pipe.warm(ctx, reader, seg.Warm); err != nil {
 				return s.collectSampled(name, suite, excluded), &RunError{Workload: name, Stage: "measure", Err: err}
 			}
 			s.gapReset()
 			s.mSampleWarmInstrs.Add(seg.Warm)
 		}
 		if seg.Ramp > 0 {
-			before := s.Collect(name, suite)
+			s.collectInto(before, name, suite)
 			s.Core.Attach(reader, seg.Ramp)
 			if err := s.Run(ctx); err != nil {
 				return s.collectSampled(name, suite, excluded), &RunError{Workload: name, Stage: runStage("measure", err), Err: err}
 			}
-			stats.AddDelta(excluded, s.Collect(name, suite), before)
+			s.collectInto(after, name, suite)
+			stats.AddDelta(excluded, after, before)
 		}
 		s.Core.Attach(reader, seg.Measure)
 		if err := s.Run(ctx); err != nil {

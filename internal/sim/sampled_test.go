@@ -164,12 +164,13 @@ func TestGoldenSampledAccuracy(t *testing.T) {
 }
 
 // TestSampledDeterminism runs the same sampled configuration several times
-// concurrently (CI runs this under -race at GOMAXPROCS=4) and requires
-// byte-identical metric snapshots: interval placement is a pure function of
-// (workload, seed), so neither scheduling nor parallelism may move a single
-// counter.
+// concurrently at GOMAXPROCS 1, 2 and 4 (CI also runs it under -race) and
+// requires byte-identical metric snapshots: interval placement is a pure
+// function of (workload, seed), and the warm pipeline's install stage
+// applies one ordered op stream, so neither scheduling, parallelism nor the
+// number of Ps may move a single counter.
 func TestSampledDeterminism(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
+	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	for _, name := range []string{"spec.pagehop_s00", "qmm_int.qmm_u00"} {
 		t.Run(name, func(t *testing.T) {
@@ -184,34 +185,41 @@ func TestSampledDeterminism(t *testing.T) {
 			cfg.Sample = SampleConfig{Enabled: true}
 
 			const runs = 4
-			snaps := make([][]byte, runs)
-			var wg sync.WaitGroup
-			for i := 0; i < runs; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					reader, err := w.NewReader()
-					if err != nil {
-						t.Error(err)
-						return
+			var want []byte
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				snaps := make([][]byte, runs)
+				var wg sync.WaitGroup
+				for i := 0; i < runs; i++ {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						reader, err := w.NewReader()
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						_, sys, err := RunTraceSystem(context.Background(), cfg, w.Name, w.Suite, reader)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						var buf bytes.Buffer
+						if err := sys.Snapshot().WriteJSON(&buf); err != nil {
+							t.Error(err)
+							return
+						}
+						snaps[i] = buf.Bytes()
+					}(i)
+				}
+				wg.Wait()
+				if want == nil {
+					want = snaps[0]
+				}
+				for i := range snaps {
+					if !bytes.Equal(want, snaps[i]) {
+						t.Fatalf("GOMAXPROCS=%d: concurrent sampled run %d produced a different snapshot", procs, i)
 					}
-					_, sys, err := RunTraceSystem(context.Background(), cfg, w.Name, w.Suite, reader)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					var buf bytes.Buffer
-					if err := sys.Snapshot().WriteJSON(&buf); err != nil {
-						t.Error(err)
-						return
-					}
-					snaps[i] = buf.Bytes()
-				}(i)
-			}
-			wg.Wait()
-			for i := 1; i < runs; i++ {
-				if !bytes.Equal(snaps[0], snaps[i]) {
-					t.Fatalf("concurrent sampled run %d produced a different snapshot", i)
 				}
 			}
 		})

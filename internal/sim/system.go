@@ -652,7 +652,15 @@ func (s *System) ResetStats() {
 
 // Collect gathers the current statistics into a Run.
 func (s *System) Collect(name, suite string) *stats.Run {
-	return &stats.Run{
+	r := &stats.Run{}
+	s.collectInto(r, name, suite)
+	return r
+}
+
+// collectInto is Collect into a caller-owned Run, for callers that snapshot
+// the counters once per sampling segment.
+func (s *System) collectInto(r *stats.Run, name, suite string) {
+	*r = stats.Run{
 		Workload: name,
 		Suite:    suite,
 		Core:     *s.Core.Stats,
