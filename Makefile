@@ -23,16 +23,26 @@ cover:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
-# campaign runs a tiny cached campaign twice and asserts the warm-cache
-# re-run performs zero simulations — the content-addressed result cache's
-# acceptance check, end to end through cmd/experiments.
+# campaign is the result cache's acceptance check, end to end through
+# cmd/experiments. A one-workload fig9 run, then a two-workload run over the
+# same cache: the second must reuse every cell the first simulated (the
+# cache is the checkpoint an interrupted campaign resumes from) and simulate
+# the rest. A third, warm-cache run must perform zero simulations.
+# experiments.Sample keeps workload 0 in both sets, so the counts are exact.
 CAMPAIGN_CACHE := .campaign-cache
+CAMPAIGN_RUN = $(GO) run ./cmd/experiments -exp fig9 -warmup 5000 -instrs 10000 -cache-dir $(CAMPAIGN_CACHE)
 campaign: build
 	@rm -rf $(CAMPAIGN_CACHE)
-	@$(GO) run ./cmd/experiments -exp fig9 -max-workloads 2 -warmup 5000 -instrs 10000 \
-		-cache-dir $(CAMPAIGN_CACHE) >/dev/null
-	@$(GO) run ./cmd/experiments -exp fig9 -max-workloads 2 -warmup 5000 -instrs 10000 \
-		-cache-dir $(CAMPAIGN_CACHE) | tee /dev/stderr | grep '^campaign:' | grep -q 'simulated=0' \
+	@first=$$($(CAMPAIGN_RUN) -max-workloads 1 | grep '^campaign:') && \
+	second=$$($(CAMPAIGN_RUN) -max-workloads 2 | grep '^campaign:') && \
+	echo "$$first" >&2 && echo "$$second" >&2 && \
+	sim1=$$(echo "$$first" | sed -n 's/.*simulated=\([0-9]*\).*/\1/p') && \
+	sim2=$$(echo "$$second" | sed -n 's/.*simulated=\([0-9]*\).*/\1/p') && \
+	hit2=$$(echo "$$second" | sed -n 's/.*cached=\([0-9]*\).*/\1/p') && \
+	[ -n "$$sim1" ] && [ "$$sim1" -gt 0 ] && [ "$$hit2" = "$$sim1" ] && [ "$$sim2" -gt 0 ] \
+		&& echo "campaign: partial re-run reused all $$sim1 finished cells and simulated $$sim2 new ones" \
+		|| { echo 'campaign: FAIL — the larger run did not reuse exactly the finished cells'; rm -rf $(CAMPAIGN_CACHE); exit 1; }
+	@$(CAMPAIGN_RUN) -max-workloads 2 | tee /dev/stderr | grep '^campaign:' | grep -q 'simulated=0' \
 		&& echo 'campaign: warm-cache re-run performed zero simulations' \
 		|| { echo 'campaign: FAIL — warm-cache re-run still simulated'; rm -rf $(CAMPAIGN_CACHE); exit 1; }
 	@rm -rf $(CAMPAIGN_CACHE)
@@ -47,7 +57,7 @@ soak:
 
 # daemon-e2e drives cmd/pgcd end to end through its HTTP API: submit,
 # warm-cache re-submit (zero simulations), SIGTERM mid-campaign (graceful
-# drain, exit 0), restart, and resume to completion.
+# drain, exit 0), restart, and resume to completion from the cache.
 daemon-e2e:
 	bash scripts/pgcd_e2e.sh
 

@@ -43,8 +43,7 @@ func main() {
 		outDir    = flag.String("out-dir", "", "write each experiment's report to <out-dir>/<name>.{txt,json} instead of stdout")
 		pprofOut  = flag.String("pprof", "", "write a CPU profile of the campaign to this file")
 		check     = flag.Bool("check", false, "run every simulation with the lockstep oracle and invariant sweeps; violations land in the failure ledger under stage \"check\"")
-		cacheDir  = flag.String("cache-dir", "", "content-addressed result cache: completed (config, workload) cells are memoized here and re-runs with unchanged configs skip simulation entirely")
-		resume    = flag.String("resume", "", "checkpoint manifest (JSONL): completed cells are appended as they finish, and an interrupted campaign re-invoked with the same manifest resumes instead of re-simulating")
+		cacheDir  = flag.String("cache-dir", "", "content-addressed result cache and checkpoint: completed (config, workload) cells are synced here as they finish, so a re-run with unchanged configs skips them and an interrupted campaign resumes")
 		sampled   = flag.Bool("sample", false, "interval-sampled simulation (fast mode) for every run; sampled and full results never share cache entries")
 		samplePer = flag.Uint64("sample-period", 0, "with -sample, sampling period in instructions (0 = default)")
 		wdlFiles  = flag.String("workload-file", "", "comma-separated .wdl files; their workloads replace the registry set in workload-driven experiments")
@@ -98,7 +97,7 @@ func main() {
 		Warmup: *warmup, Instrs: *instrs,
 		MaxWorkloads: *maxWl, Prefetcher: *pf,
 		Ctx:      ctx,
-		Campaign: []campaign.Option{campaign.WithWorkers(*par), campaign.WithCache(*cacheDir), campaign.WithResume(*resume)},
+		Campaign: []campaign.Option{campaign.WithWorkers(*par), campaign.WithCache(*cacheDir)},
 		Check:    sim.CheckConfig{Enabled: *check},
 		Sample:   sim.SampleConfig{Enabled: *sampled, PeriodInstrs: *samplePer},
 		Totals:   totals,
@@ -296,7 +295,7 @@ func splitList(s string) []string {
 
 // hardExitOnSecondSignal makes a second SIGINT/SIGTERM exit the process
 // immediately with status 130. The first signal cancels the campaign's
-// context for a graceful teardown (partial results, flushed manifests), but
+// context for a graceful teardown (partial results, checkpointed cells), but
 // signal.NotifyContext swallows every signal after that — without this
 // escape hatch a teardown that hangs cannot be interrupted from the
 // terminal at all.

@@ -12,8 +12,9 @@
 //	curl -s localhost:8437/v1/campaigns/<id>/result
 //
 // On SIGTERM (or SIGINT) the daemon drains: it stops admitting, gives
-// in-flight campaigns a grace period, checkpoints the rest to resume
-// manifests, and exits 0. A second signal skips the drain and exits 130.
+// in-flight campaigns a grace period, cancels the rest (every cell they
+// completed is already checkpointed in the cache, so the next start
+// resumes them), and exits 0. A second signal skips the drain and exits 130.
 package main
 
 import (
@@ -41,8 +42,8 @@ func main() {
 func run() error {
 	var (
 		listen     = flag.String("listen", "127.0.0.1:8437", "address to serve the HTTP API on")
-		stateDir   = flag.String("state", "pgcd-state", "directory for job records and resume manifests")
-		cacheDir   = flag.String("cache", "", "content-addressed result cache directory (empty: no cache)")
+		stateDir   = flag.String("state", "pgcd-state", "directory for job records")
+		cacheDir   = flag.String("cache", "", "content-addressed result cache directory, also the jobs' checkpoint (empty: <state>/cache)")
 		workers    = flag.Int("workers", 0, "campaign worker-pool width per job (0: NumCPU)")
 		jobs       = flag.Int("jobs", 0, "jobs running concurrently (0: default)")
 		queueDepth = flag.Int("queue", 0, "max queued jobs before 429 backpressure (0: default)")

@@ -106,6 +106,15 @@ func row(w trace.Workload, r *stats.Run) []string {
 		u(r.L1D.PGCIssued), u(r.L1D.PGCDropped),
 		u(r.L1D.PGCUseful), u(r.L1D.PGCUseless),
 		u(r.PTW.Walks), u(r.PTW.SpeculativeWalks),
-		f(float64(r.Core.Mispredicts) * 1000 / float64(r.Core.Instructions+1)),
+		f(branchMPKI(r)),
 	}
+}
+
+// branchMPKI is branch mispredictions per kilo-instruction (0 for a run
+// that retired nothing).
+func branchMPKI(r *stats.Run) float64 {
+	if r.Core.Instructions == 0 {
+		return 0
+	}
+	return float64(r.Core.Mispredicts) * 1000 / float64(r.Core.Instructions)
 }

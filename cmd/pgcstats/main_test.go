@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -57,5 +58,19 @@ func TestWriteCSVReportsFailedCell(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Fatalf("failed batch wrote %q", out.String())
+	}
+}
+
+// TestRowBranchMPKI pins the last column to mispredictions per thousand
+// retired instructions, exactly, and to 0 for a run that retired nothing.
+func TestRowBranchMPKI(t *testing.T) {
+	w := trace.Seen()[0]
+	r := &stats.Run{}
+	r.Core.Instructions, r.Core.Mispredicts = 1000, 5
+	if got := row(w, r); got[len(got)-1] != "5.0000" {
+		t.Fatalf("branch_mpki = %s, want 5.0000", got[len(got)-1])
+	}
+	if got := row(w, &stats.Run{}); got[len(got)-1] != "0.0000" {
+		t.Fatalf("branch_mpki with no instructions = %s, want 0.0000", got[len(got)-1])
 	}
 }

@@ -1,6 +1,6 @@
 // Execution backends: where a campaign's cells actually run. The engine
-// (engine.go) owns DAG scheduling, the content-addressed cache, the
-// resume manifest and the retry/failure ledger, and delegates only "run
+// (engine.go) owns DAG scheduling, the content-addressed cache (which is
+// also the checkpoint) and the retry/failure ledger, and delegates only "run
 // this cell once" to a Backend. Local() executes cells in-process on the
 // calling goroutine; the engine's worker pool provides the concurrency.
 // WithBackend swaps in another implementation, such as a wrapper that
@@ -37,12 +37,11 @@ type EventKind string
 // The event kinds: the lifecycle of one cell.
 const (
 	// EventCellStarted: a cell's first simulation attempt is beginning
-	// (cache and manifest both missed).
+	// (the cache missed).
 	EventCellStarted EventKind = "cell-started"
-	// EventCellCached / EventCellResumed: the cell was served without
-	// simulation, from the result cache / the resume manifest.
-	EventCellCached  EventKind = "cell-cached"
-	EventCellResumed EventKind = "cell-resumed"
+	// EventCellCached: the cell was served from the result cache without
+	// simulation.
+	EventCellCached EventKind = "cell-cached"
 	// EventCellRetried: an attempt failed retryably; Attempt is the
 	// number of the attempt about to start.
 	EventCellRetried EventKind = "cell-retried"

@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -54,19 +53,16 @@ func TestEventStream(t *testing.T) {
 
 	// Progress is a count over the stream: every cell retires with exactly
 	// one terminal event, and the terminal counts by kind are the report's
-	// accounting. One cell each is cached, resumed, simulated and failed.
+	// accounting. One cell each is cached, simulated and failed.
 	t.Run("terminal-per-cell", func(t *testing.T) {
-		spec := tinySpec(t, 4)
-		cached, resumed, doomed := spec.Cells[0], spec.Cells[1], spec.Cells[3].ID
-		dir, manifest := t.TempDir(), filepath.Join(t.TempDir(), "m.jsonl")
+		spec := tinySpec(t, 3)
+		cached, doomed := spec.Cells[0], spec.Cells[2].ID
+		dir := t.TempDir()
 		if _, err := Run(context.Background(), Spec{Cells: []Cell{cached}}, WithCache(dir)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run(context.Background(), Spec{Cells: []Cell{resumed}}, WithResume(manifest)); err != nil {
-			t.Fatal(err)
-		}
 		var events []Event
-		rep, err := Run(context.Background(), spec, WithWorkers(2), WithCache(dir), WithResume(manifest),
+		rep, err := Run(context.Background(), spec, WithWorkers(2), WithCache(dir),
 			WithCellFault(func(_ context.Context, id string, _ int) error {
 				if id == doomed {
 					return errors.New("injected, permanent")
@@ -84,7 +80,7 @@ func TestEventStream(t *testing.T) {
 				t.Fatalf("event %d has seq %d; want a gapless total order", i, ev.Seq)
 			}
 			switch ev.Kind {
-			case EventCellCompleted, EventCellCached, EventCellResumed, EventCellFailed:
+			case EventCellCompleted, EventCellCached, EventCellFailed:
 				terminal[ev.Kind]++
 				perCell[ev.Cell]++
 			}
@@ -96,7 +92,7 @@ func TestEventStream(t *testing.T) {
 		}
 		want := map[EventKind]int{
 			EventCellCompleted: rep.Simulated, EventCellCached: rep.CacheHits,
-			EventCellResumed: rep.Resumed, EventCellFailed: len(rep.Failures),
+			EventCellFailed: len(rep.Failures),
 		}
 		for kind, n := range want {
 			if terminal[kind] != n || n != 1 {

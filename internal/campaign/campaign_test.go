@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -316,58 +315,37 @@ func TestCorruptEntryFallsBackToSimulation(t *testing.T) {
 	}
 }
 
-// TestResumeFromManifest models the interrupted-campaign workflow: a
-// partial campaign checkpoints what it finished; re-invoking the full
-// campaign with the same manifest replays the checkpointed cells without
-// simulation and runs only the remainder.
-func TestResumeFromManifest(t *testing.T) {
+// TestResumeFromCache models the interrupted-campaign workflow: a
+// partial campaign checkpoints what it finished in the cache; re-invoking
+// the full campaign over the same cache serves the checkpointed cells
+// without simulation and runs only the remainder. (Config drift is
+// covered by TestCacheInvalidatesExactlyAffectedCells.)
+func TestResumeFromCache(t *testing.T) {
 	full := tinySpec(t, 4)
-	manifest := filepath.Join(t.TempDir(), "campaign.manifest")
+	dir := t.TempDir()
 
 	// "Interrupted" first invocation: only the first two cells ran.
 	partial := Spec{Name: full.Name, Cells: full.Cells[:2]}
-	if _, err := Run(context.Background(), partial, WithResume(manifest)); err != nil {
+	if _, err := Run(context.Background(), partial, WithCache(dir)); err != nil {
 		t.Fatal(err)
 	}
 
-	rep, err := Run(context.Background(), full, WithResume(manifest))
+	rep, err := Run(context.Background(), full, WithCache(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Resumed != 2 || rep.Simulated != 2 || !rep.Complete() {
-		t.Fatalf("resume: resumed=%d simulated=%d failures=%v", rep.Resumed, rep.Simulated, rep.Failures)
-	}
-
-	// The manifest now covers everything: a third invocation resumes all.
-	rep2, err := Run(context.Background(), full, WithResume(manifest))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Resumed != 4 || rep2.Simulated != 0 {
-		t.Fatalf("full resume: resumed=%d simulated=%d", rep2.Resumed, rep2.Simulated)
-	}
-
-	// A config change orphans that cell's checkpoint (key mismatch): it
-	// re-simulates rather than serving stale statistics.
-	changed := full
-	changed.Cells = append([]Cell(nil), full.Cells...)
-	changed.Cells[0].Config.SimInstrs += 500
-	rep3, err := Run(context.Background(), changed, WithResume(manifest))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep3.Resumed != 3 || rep3.Simulated != 1 {
-		t.Fatalf("drifted resume: resumed=%d simulated=%d", rep3.Resumed, rep3.Simulated)
+	if rep.CacheHits != 2 || rep.Simulated != 2 || !rep.Complete() {
+		t.Fatalf("resume: hits=%d simulated=%d failures=%v", rep.CacheHits, rep.Simulated, rep.Failures)
 	}
 }
 
-// TestSharedManifestAcrossCampaigns: one experiment invocation may run
+// TestSharedCacheAcrossCampaigns: one experiment invocation may run
 // several campaigns (cmd/experiments fig9 runs one matrix per prefetcher)
 // that reuse the same scenario/workload cell IDs against a single shared
-// manifest. Resume is looked up by content key, so the reused IDs must
-// not shadow each other: re-running both campaigns resumes everything.
-func TestSharedManifestAcrossCampaigns(t *testing.T) {
-	manifest := filepath.Join(t.TempDir(), "campaign.manifest")
+// cache. Lookup is by content key, so the reused IDs must not shadow each
+// other: re-running both campaigns hits everything.
+func TestSharedCacheAcrossCampaigns(t *testing.T) {
+	dir := t.TempDir()
 
 	specs := make([]Spec, 2)
 	for i, pf := range []string{"berti", "bop"} {
@@ -378,87 +356,82 @@ func TestSharedManifestAcrossCampaigns(t *testing.T) {
 		specs[i] = spec // same cell IDs in both specs, different configs
 	}
 	for _, spec := range specs {
-		rep, err := Run(context.Background(), spec, WithResume(manifest))
+		rep, err := Run(context.Background(), spec, WithCache(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Simulated != 2 || rep.Resumed != 0 {
-			t.Fatalf("cold: simulated=%d resumed=%d", rep.Simulated, rep.Resumed)
+		if rep.Simulated != 2 || rep.CacheHits != 0 {
+			t.Fatalf("cold: simulated=%d hits=%d", rep.Simulated, rep.CacheHits)
 		}
 	}
 	for _, spec := range specs {
-		rep, err := Run(context.Background(), spec, WithResume(manifest))
+		rep, err := Run(context.Background(), spec, WithCache(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Resumed != 2 || rep.Simulated != 0 {
-			t.Fatalf("shared-manifest resume: resumed=%d simulated=%d", rep.Resumed, rep.Simulated)
+		if rep.CacheHits != 2 || rep.Simulated != 0 {
+			t.Fatalf("shared-cache re-run: hits=%d simulated=%d", rep.CacheHits, rep.Simulated)
 		}
 	}
 }
 
 // TestCancelledCampaignCheckpointsAndResumes is the SIGINT path: a
-// cancelled campaign returns ctx.Err() with no spurious ledger entries,
-// keeps whatever it checkpointed, and a re-run completes from there.
+// campaign cancelled mid-run returns ctx.Err() with no spurious ledger
+// entries, keeps whatever it checkpointed in the cache, and a re-run over
+// the same cache completes from there.
 func TestCancelledCampaignCheckpointsAndResumes(t *testing.T) {
 	spec := tinySpec(t, 3)
-	manifest := filepath.Join(t.TempDir(), "campaign.manifest")
+	dir := t.TempDir()
 
+	// One worker, cancelled as the first cell completes: that cell is
+	// checkpointed, the other two never start.
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before any cell starts — the hard teardown case
-	rep, err := Run(ctx, spec, WithResume(manifest))
+	defer cancel()
+	rep, err := Run(ctx, spec, WithCache(dir), WithWorkers(1), WithEvents(func(ev Event) {
+		if ev.Kind == EventCellCompleted {
+			cancel()
+		}
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(rep.Failures) != 0 {
-		t.Fatalf("cancellation produced ledger entries: %v", rep.Failures)
+	if len(rep.Failures) != 0 || rep.Simulated != 1 {
+		t.Fatalf("cancelled run: simulated=%d failures=%v", rep.Simulated, rep.Failures)
 	}
 
-	rep2, err := Run(context.Background(), spec, WithResume(manifest))
+	rep2, err := Run(context.Background(), spec, WithCache(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep2.Complete() || rep2.Resumed+rep2.Simulated != 3 {
-		t.Fatalf("post-cancel resume incomplete: %+v", rep2)
+	if !rep2.Complete() || rep2.CacheHits != 1 || rep2.Simulated != 2 {
+		t.Fatalf("post-cancel resume: hits=%d simulated=%d failures=%v", rep2.CacheHits, rep2.Simulated, rep2.Failures)
 	}
 }
 
-// TestDAGOrdersDependencies: the manifest append order proves dependency
-// order even with more workers than cells (a chain has only one ready
-// cell at a time, whichever worker takes it).
+// TestDAGOrdersDependencies: the order of completed events proves
+// dependency order even with more workers than cells (a chain has only one
+// ready cell at a time, whichever worker takes it).
 func TestDAGOrdersDependencies(t *testing.T) {
 	spec := tinySpec(t, 3)
 	// Chain: cells[1] after cells[0], cells[2] after cells[1].
 	spec.Cells[1].After = []string{spec.Cells[0].ID}
 	spec.Cells[2].After = []string{spec.Cells[1].ID}
-	manifest := filepath.Join(t.TempDir(), "campaign.manifest")
 
-	rep, err := Run(context.Background(), spec, WithResume(manifest), WithWorkers(4))
+	var order []string
+	rep, err := Run(context.Background(), spec, WithWorkers(4), WithEvents(func(ev Event) {
+		if ev.Kind == EventCellCompleted {
+			order = append(order, ev.Cell)
+		}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Complete() {
 		t.Fatalf("chain campaign incomplete: %v", rep.Failures)
 	}
-
-	f, err := os.Open(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var order []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		var e ManifestEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatal(err)
-		}
-		order = append(order, e.ID)
-	}
 	want := []string{spec.Cells[0].ID, spec.Cells[1].ID, spec.Cells[2].ID}
 	if len(order) != len(want) {
-		t.Fatalf("manifest has %d entries, want %d", len(order), len(want))
+		t.Fatalf("%d cells completed, want %d", len(order), len(want))
 	}
 	for i := range want {
 		if order[i] != want[i] {
@@ -517,7 +490,7 @@ func TestRetryableFailuresRetry(t *testing.T) {
 }
 
 // TestMixCellsCacheAndResume: multi-core mix cells go through the same
-// cache and manifest machinery as single-core cells.
+// cache (and so checkpoint) machinery as single-core cells.
 func TestMixCellsCacheAndResume(t *testing.T) {
 	per := tinyConfig(t)
 	per.WarmupInstrs = 1_000
@@ -549,30 +522,5 @@ func TestMixCellsCacheAndResume(t *testing.T) {
 	wb, _ := json.Marshal(warm.MixRuns["mix0"])
 	if string(cb) != string(wb) {
 		t.Fatal("cached mix stats differ from simulated")
-	}
-}
-
-// TestManifestToleratesTornTail: a torn final line (crash mid-append) drops
-// only that entry.
-func TestManifestToleratesTornTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "m.manifest")
-	good := ManifestEntry{ID: "a", Key: "k", Runs: []*stats.Run{{Workload: "a"}}}
-	b, _ := json.Marshal(good)
-	content := string(b) + "\n" + string(b[:len(b)/2])
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := LoadManifest(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 1 || m["k"].ID != "a" {
-		t.Fatalf("manifest = %+v", m)
-	}
-	// Missing file is an empty manifest.
-	empty, err := LoadManifest(filepath.Join(dir, "absent.manifest"))
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("missing manifest: %v %v", empty, err)
 	}
 }

@@ -15,8 +15,8 @@ import (
 
 // Exec is the execution policy of a campaign: worker-pool width, the
 // retry/timeout fault-isolation knobs shared with the experiments harness,
-// and the persistence layers (result cache, resume manifest). The zero
-// value runs with NumCPU workers, no retries, no cache and no manifest.
+// and the result cache, which is also the campaign's checkpoint. The zero
+// value runs with NumCPU workers, no retries and no cache.
 type Exec struct {
 	// Workers is the number of concurrent simulation workers (default
 	// NumCPU).
@@ -31,13 +31,11 @@ type Exec struct {
 	// time; an expired cell is a ledgered failure, not a campaign abort.
 	RunTimeout time.Duration
 	// CacheDir, when non-empty, memoizes every cacheable cell in a
-	// content-addressed result cache rooted there.
+	// content-addressed result cache rooted there. Each result is synced
+	// to disk as its cell completes, so the cache is also the checkpoint:
+	// an interrupted campaign re-run with the same CacheDir simulates only
+	// the cells that had not completed.
 	CacheDir string
-	// ResumeManifest, when non-empty, is a JSONL checkpoint file:
-	// completed cells are appended as they finish, and cells already
-	// present (with a matching content key) are resumed without
-	// simulation.
-	ResumeManifest string
 	// CellFault, when non-nil, is consulted before every simulation
 	// attempt (including retries) and its non-nil error is treated exactly
 	// like a simulation failure: retried when sim.Retryable, ledgered
@@ -51,7 +49,7 @@ type Exec struct {
 	// OnEvent, when non-nil, receives the campaign's typed event stream:
 	// cell lifecycle events serialised into one totally ordered sequence.
 	// Every cell that retires produces exactly one terminal event
-	// (completed, cached, resumed or failed), so progress is a count over
+	// (completed, cached or failed), so progress is a count over
 	// the stream. It is called from worker goroutines under the sink's
 	// lock — callbacks must return quickly and must not block on campaign
 	// progress.
@@ -73,10 +71,6 @@ func WithCache(dir string) Option { return func(e *Exec) { e.CacheDir = dir } }
 
 // WithWorkers sets the worker-pool width.
 func WithWorkers(n int) Option { return func(e *Exec) { e.Workers = n } }
-
-// WithResume checkpoints completed cells to (and resumes them from) the
-// JSONL manifest at path.
-func WithResume(path string) Option { return func(e *Exec) { e.ResumeManifest = path } }
 
 // WithRetries retries retryable cell failures up to n times with linear
 // backoff (base × attempt).
@@ -118,10 +112,10 @@ type Report struct {
 	MixRuns map[string][]*stats.Run
 	// Failures is the ledger, sorted by cell ID.
 	Failures []Failure
-	// CacheHits, Resumed and Simulated partition the completed cells by
-	// where their result came from; Total is len(spec.Cells).
-	CacheHits, Resumed, Simulated int
-	Total                         int
+	// CacheHits and Simulated partition the completed cells by where
+	// their result came from; Total is len(spec.Cells).
+	CacheHits, Simulated int
+	Total                int
 }
 
 // Complete reports whether every cell completed.
@@ -142,9 +136,9 @@ func (r *Report) Err() error {
 // Totals accumulates cache accounting across several campaign runs (one
 // experiment invocation runs many matrices); safe for concurrent Add.
 type Totals struct {
-	mu                            sync.Mutex
-	CacheHits, Resumed, Simulated int
-	Failed                        int
+	mu                   sync.Mutex
+	CacheHits, Simulated int
+	Failed               int
 }
 
 // Add folds one report into the totals.
@@ -152,7 +146,6 @@ func (t *Totals) Add(r *Report) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.CacheHits += r.CacheHits
-	t.Resumed += r.Resumed
 	t.Simulated += r.Simulated
 	t.Failed += len(r.Failures)
 }
@@ -162,8 +155,8 @@ func (t *Totals) Add(r *Report) {
 func (t *Totals) String() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return fmt.Sprintf("simulated=%d cached=%d resumed=%d failed=%d",
-		t.Simulated, t.CacheHits, t.Resumed, t.Failed)
+	return fmt.Sprintf("simulated=%d cached=%d failed=%d",
+		t.Simulated, t.CacheHits, t.Failed)
 }
 
 // Run executes the campaign. Cells with satisfied dependencies wait in one
@@ -171,7 +164,7 @@ func (t *Totals) String() string {
 // the oldest ready cell, and a finished cell appends the dependents it
 // unblocks. A panicking or erroring cell becomes a ledger entry (retryable
 // failures retry with backoff), never a campaign abort. The returned error
-// is non-nil only for an invalid spec, an unusable cache/manifest, or a
+// is non-nil only for an invalid spec, an unusable cache, or a
 // cancelled ctx; the report then holds whatever completed first.
 func Run(ctx context.Context, spec Spec, opts ...Option) (*Report, error) {
 	if ctx == nil {
@@ -193,18 +186,6 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Report, error) {
 			return nil, err
 		}
 	}
-	resumed := map[string]ManifestEntry{}
-	var man *manifestWriter
-	if ex.ResumeManifest != "" {
-		var err error
-		if resumed, err = LoadManifest(ex.ResumeManifest); err != nil {
-			return nil, err
-		}
-		if man, err = openManifestWriter(ex.ResumeManifest); err != nil {
-			return nil, err
-		}
-		defer man.Close()
-	}
 
 	backend := ex.Backend
 	if backend == nil {
@@ -217,8 +198,6 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Report, error) {
 		events:  &eventSink{fn: ex.OnEvent},
 		cells:   spec.Cells,
 		store:   store,
-		resumed: resumed,
-		man:     man,
 		rep: &Report{
 			Runs:    map[string]*stats.Run{},
 			MixRuns: map[string][]*stats.Run{},
@@ -238,8 +217,6 @@ type engine struct {
 	events  *eventSink
 	cells   []Cell
 	store   *Store
-	resumed map[string]ManifestEntry
-	man     *manifestWriter
 
 	// mu guards the ready queue, the DAG bookkeeping and the report; cond
 	// wakes idle workers when new cells unblock (or the campaign drains).
@@ -340,32 +317,23 @@ func (e *engine) finish(ci int) {
 	}
 }
 
-// exec resolves one cell: resume manifest first, then the result cache,
-// then simulation (with the matrix runner's recover/retry fault
-// isolation). Every freshly computed or cache-hit result is checkpointed
-// to the manifest; only fresh results are written to the cache.
+// exec resolves one cell: the result cache first, then simulation (with
+// the matrix runner's recover/retry fault isolation). Every freshly
+// computed result is written to the cache, which checkpoints it.
 func (e *engine) exec(ci int) {
 	c := &e.cells[ci]
 	if e.ctx.Err() != nil {
 		return // campaign-wide teardown; not an individual failure
 	}
 	key, kerr := c.key() // kerr != nil ⇒ uncacheable: always simulate, never store
-	if kerr == nil {
+	if kerr == nil && e.store != nil {
 		// Lookup by content key, not cell ID: the key identifies the
 		// result regardless of which campaign (or ID spelling) produced
 		// it, and a drifted config simply computes a key that is absent.
-		if ent, ok := e.resumed[string(key)]; ok {
-			e.record(c, ent.Runs, &e.rep.Resumed)
-			e.events.emit(Event{Kind: EventCellResumed, Cell: c.ID})
+		if runs, ok := e.store.Get(key); ok {
+			e.record(c, runs, &e.rep.CacheHits)
+			e.events.emit(Event{Kind: EventCellCached, Cell: c.ID})
 			return
-		}
-		if e.store != nil {
-			if runs, ok := e.store.Get(key); ok {
-				e.record(c, runs, &e.rep.CacheHits)
-				e.checkpoint(c.ID, key, runs)
-				e.events.emit(Event{Kind: EventCellCached, Cell: c.ID})
-				return
-			}
 		}
 	}
 	e.events.emit(Event{Kind: EventCellStarted, Cell: c.ID})
@@ -382,12 +350,9 @@ func (e *engine) exec(ci int) {
 	}
 	e.record(c, runs, &e.rep.Simulated)
 	e.events.emit(Event{Kind: EventCellCompleted, Cell: c.ID, Attempt: attempts})
-	if kerr == nil {
-		if e.store != nil {
-			// Best-effort: a full disk costs future cache hits, not results.
-			_ = e.store.Put(key, runs)
-		}
-		e.checkpoint(c.ID, key, runs)
+	if kerr == nil && e.store != nil {
+		// Best-effort: a full disk costs future cache hits, not results.
+		_ = e.store.Put(key, runs)
 	}
 }
 
@@ -400,15 +365,6 @@ func (e *engine) record(c *Cell, runs []*stats.Run, counter *int) {
 		e.rep.Runs[c.ID] = runs[0]
 	}
 	*counter++
-}
-
-func (e *engine) checkpoint(id string, key Key, runs []*stats.Run) {
-	if e.man == nil {
-		return
-	}
-	// Best-effort like the cache: a failed checkpoint costs resume
-	// coverage, not correctness.
-	_ = e.man.append(ManifestEntry{ID: id, Key: key, Runs: runs})
 }
 
 // simulate runs one cell with retry-on-retryable and linear backoff — the

@@ -1,11 +1,11 @@
 // Package campaign expresses the paper's evaluation — figure matrices,
 // ablation sweeps, multi-core mixes — as a DAG of simulation cells executed
 // on an in-process worker pool, with every cell's result memoized
-// in a content-addressed on-disk cache and checkpointed to a resume
-// manifest. A warm-cache re-run of the whole evaluation performs zero
-// simulations; an interrupted campaign resumes from its manifest; a config
-// change invalidates exactly the affected cells (their content hash moves,
-// everything else still hits).
+// in a content-addressed on-disk cache that doubles as the checkpoint. A
+// warm-cache re-run of the whole evaluation performs zero simulations; an
+// interrupted campaign re-run over the same cache simulates only the cells
+// that had not completed; a config change invalidates exactly the affected
+// cells (their content hash moves, everything else still hits).
 package campaign
 
 import (

@@ -9,7 +9,7 @@ import (
 )
 
 // localBackend executes cells in-process on the calling goroutine. It is
-// stateless: concurrency, retries, timeouts, cache and manifest all live
+// stateless: concurrency, retries, timeouts and the cache all live
 // in the engine, so this backend is only the simulation step.
 type localBackend struct{}
 

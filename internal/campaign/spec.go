@@ -13,7 +13,8 @@ import (
 // on core i).
 type Cell struct {
 	// ID names the cell within its campaign — unique, stable across
-	// re-runs (it keys the resume manifest and the report).
+	// re-runs (it keys the report and the event stream; the cache is keyed
+	// by content, not ID).
 	ID string
 
 	// Config and Workload define a single-core cell.
@@ -48,7 +49,8 @@ func (c *Cell) key() (Key, error) {
 
 // Spec is a whole campaign: a named set of cells forming a DAG.
 type Spec struct {
-	// Name labels the campaign in logs and manifests.
+	// Name is a human-readable label; it affects neither execution nor
+	// any cache key.
 	Name string
 	// Cells are the DAG nodes. Ready cells start in this order, but order
 	// is not a constraint: use After for constraints.

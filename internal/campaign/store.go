@@ -80,10 +80,12 @@ func (s *Store) Get(k Key) ([]*stats.Run, bool) {
 	return e.Runs, true
 }
 
-// Put stores runs under k, atomically: the entry is written to a temp file
-// in the same directory and renamed into place, so a crashed writer leaves
-// either the old entry or none — never a torn one (and a torn rename
-// target would fail Get's checksum anyway).
+// Put stores runs under k, atomically and durably: the entry is written to
+// a temp file in the same directory, synced, and renamed into place, so a
+// crashed writer leaves either the old entry or none — never a torn one
+// (and a torn rename target would fail Get's checksum anyway) — and an
+// entry that Put returned for survives a crash. That makes the store the
+// campaign checkpoint.
 func (s *Store) Put(k Key, runs []*stats.Run) error {
 	if len(k) < 2 || len(runs) == 0 {
 		return fmt.Errorf("campaign: refusing to cache empty result")
@@ -106,6 +108,11 @@ func (s *Store) Put(k Key, runs []*stats.Run) error {
 		return fmt.Errorf("campaign: caching result: %w", err)
 	}
 	if _, err := tmp.Write(b); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return fmt.Errorf("campaign: caching result: %w", err)
+	}
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("campaign: caching result: %w", err)

@@ -59,3 +59,56 @@ func BenchmarkUpdateBuffer(b *testing.B) {
 		}
 	})
 }
+
+// issuedSink keeps the compiler from dropping the benchmarked Decide call.
+var issuedSink int
+
+// BenchmarkFilter times DRIPPER's per-candidate work on the Berti
+// configuration: Decide alone, and Decide plus one training round trip
+// (RecordIssue into the pUB, then OnEvictPCB of the never-hit block, which
+// punishes the consulted weights). The inputs cycle through 256 distinct
+// PCs, addresses and deltas so every feature table sees varied indexes.
+func BenchmarkFilter(b *testing.B) {
+	const n = 256
+	ins := make([]Input, n)
+	for i := range ins {
+		u := uint64(i)
+		ins[i] = Input{
+			PC: 0x401000 + u*0x34, VA: 0x7f0000000000 + u*0x9E3779B1&^0x3f,
+			Delta: int64(i%13) - 6, PrevVA1: 0x7f0000001000 + u*0x1c0, PrevVA2: 0x7f0000002000 + u*0x2c0,
+			PrevPC1: 0x401000 + u*0x18, PrevPC2: 0x401000 + u*0x2c, FirstPageAccess: i%7 == 0, Meta: u % 16,
+		}
+	}
+	filter := func(b *testing.B) *Filter {
+		f, err := NewFilter(DefaultDripperConfig("berti"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return f
+	}
+
+	b.Run("decide", func(b *testing.B) {
+		f := filter(b)
+		issued := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if ok, _ := f.Decide(ins[i%n]); ok {
+				issued++
+			}
+		}
+		issuedSink = issued
+	})
+	b.Run("decide-train", func(b *testing.B) {
+		f := filter(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			in := ins[i%n]
+			_, tag := f.Decide(in)
+			pa := in.VA>>6 + uint64(in.Delta)
+			f.RecordIssue(pa, tag)
+			f.OnEvictPCB(pa, false)
+		}
+	})
+}

@@ -16,12 +16,12 @@
 //     failure ledger), and a per-cell run timeout.
 //   - Graceful drain. SIGTERM (via Drain) stops admission, gives in-flight
 //     jobs a grace period, then cancels them; because every completed cell
-//     is already fsync'd to the job's resume manifest, cancellation loses
-//     at most the cells still in flight. The process exits 0 with every
-//     incomplete job resumable.
+//     is already fsync'd to the result cache, cancellation loses at most
+//     the cells still in flight. The process exits 0 with every incomplete
+//     job resumable.
 //   - Crash recovery. On startup the daemon replays its persisted job
 //     records: jobs that were queued, running, or interrupted are
-//     re-admitted, and their manifests replay completed cells without
+//     re-admitted, and the cache serves their completed cells without
 //     simulation — an interrupted campaign resumes instead of recomputing.
 //   - Observability. /healthz is wired to a per-job forward-progress
 //     watchdog (a running job that stops retiring cells trips it), /readyz
@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -49,11 +50,12 @@ import (
 // Config is the daemon's tuning surface. The zero value is unusable — use
 // DefaultConfig and override.
 type Config struct {
-	// StateDir holds job records and resume manifests (required).
+	// StateDir holds job records (required).
 	StateDir string
-	// CacheDir, when non-empty, is the content-addressed result cache
-	// shared with cmd/experiments and cmd/pgcsim. Without it the daemon
-	// still works but every campaign simulates from scratch.
+	// CacheDir is the content-addressed result cache, shareable with
+	// cmd/experiments and cmd/pgcsim (default <StateDir>/cache). It is
+	// also every job's checkpoint: a recovered job's completed cells are
+	// served from it as cache hits.
 	CacheDir string
 
 	// Workers is the campaign worker-pool width per running job.
@@ -97,7 +99,7 @@ type Config struct {
 	// the submit handler under this budget (cache reads — sub-millisecond
 	// per cell); if a probe lied (entry corrupted meanwhile) and the
 	// budget expires, the job falls back to the queue and resumes from
-	// its manifest.
+	// the cache.
 	WarmBudget time.Duration
 
 	// StallAfter is the health watchdog bound: a running job with no cell
@@ -151,6 +153,9 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("daemon: Config.StateDir is required")
 	}
 	d := DefaultConfig(c.StateDir)
+	if c.CacheDir == "" {
+		c.CacheDir = filepath.Join(c.StateDir, "cache")
+	}
 	if c.Workers <= 0 {
 		c.Workers = d.Workers
 	}
@@ -245,10 +250,8 @@ func Open(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, dir := range []string{jobsDir(cfg.StateDir), manifestsDir(cfg.StateDir)} {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("daemon: creating state dir: %w", err)
-		}
+	if err := os.MkdirAll(jobsDir(cfg.StateDir), 0o755); err != nil {
+		return nil, fmt.Errorf("daemon: creating state dir: %w", err)
 	}
 	s := &Server{
 		cfg:  cfg,
@@ -256,10 +259,8 @@ func Open(cfg Config) (*Server, error) {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	if cfg.CacheDir != "" {
-		if s.store, err = campaign.OpenStore(cfg.CacheDir); err != nil {
-			return nil, err
-		}
+	if s.store, err = campaign.OpenStore(cfg.CacheDir); err != nil {
+		return nil, err
 	}
 	s.limiter = newRateLimiter(cfg.RatePerSec, cfg.Burst, cfg.Now)
 	s.met = newDaemonMetrics(s)
@@ -276,8 +277,8 @@ func Open(cfg Config) (*Server, error) {
 func (s *Server) logf(format string, args ...any) { s.cfg.Logf(format, args...) }
 
 // recover re-admits every job the previous process left unfinished. The
-// job's resume manifest replays completed cells, so recovery costs only the
-// cells that never finished.
+// cache serves the cells it completed, so recovery costs only the cells
+// that never finished.
 func (s *Server) recover() error {
 	recs, err := s.loadJobRecords()
 	if err != nil {
@@ -378,8 +379,8 @@ func (s *Server) runJob(j *job) {
 // campaign executes inline in the submit handler under WarmBudget — pure
 // cache reads, sub-millisecond per cell. If the probe lied (an entry was
 // corrupted or evicted between probe and run) and the budget expires, the
-// job falls back to the queue; its manifest already holds whatever the
-// inline attempt completed.
+// job falls back to the queue; the cache already holds whatever the inline
+// attempt completed.
 func (s *Server) runWarm(j *job) {
 	j.mu.Lock()
 	j.rec.State = JobRunning
@@ -412,9 +413,6 @@ func (s *Server) runWarm(j *job) {
 
 // warmProbe reports whether every cell of comp has a valid cache entry.
 func (s *Server) warmProbe(comp *compiled) bool {
-	if s.store == nil {
-		return false
-	}
 	for _, k := range comp.keys {
 		if _, ok := s.store.Get(k); !ok {
 			return false
@@ -445,7 +443,7 @@ func (s *Server) execOptions(j *job) []campaign.Option {
 		campaign.WithWorkers(s.cfg.Workers),
 		campaign.WithRetries(s.cfg.Retries, s.cfg.RetryBackoff),
 		campaign.WithRunTimeout(s.cfg.RunTimeout),
-		campaign.WithResume(s.manifestPath(j.rec.ID)),
+		campaign.WithCache(s.store.Dir()),
 		campaign.WithEvents(func(ev campaign.Event) {
 			s.met.onEvent(ev)
 			if p.count(ev) { // the sink serialises events, so p needs no lock
@@ -455,9 +453,6 @@ func (s *Server) execOptions(j *job) []campaign.Option {
 				j.mu.Unlock()
 			}
 		}),
-	}
-	if s.store != nil {
-		opts = append(opts, campaign.WithCache(s.store.Dir()))
 	}
 	if s.cfg.Chaos != nil {
 		opts = append(opts, campaign.WithCellFault(s.cfg.Chaos.CellFault))
@@ -494,13 +489,13 @@ func (s *Server) finish(j *job, rep *campaign.Report, err error) {
 	}
 	if rep != nil {
 		// Partial results are still results: an interrupted or failed job
-		// serves what it completed, and the manifest covers the rest.
+		// serves what it completed, and the cache checkpoints it.
 		j.rec.Result = resultOf(rep)
 		j.rec.Progress.settle(rep)
 	}
 	j.mu.Unlock()
 	if rep != nil {
-		s.met.addReport(rep.Simulated, rep.CacheHits, rep.Resumed, len(rep.Failures))
+		s.met.addReport(rep.Simulated, rep.CacheHits, len(rep.Failures))
 	}
 	s.retire(j)
 }
@@ -525,8 +520,8 @@ func (s *Server) retire(j *job) {
 }
 
 // Drain is the SIGTERM path: stop admitting, give in-flight jobs
-// DrainGrace to finish, cancel the stragglers (their manifests hold every
-// completed cell), stop the runners, and return once the server is fully
+// DrainGrace to finish, cancel the stragglers (the cache holds every cell
+// they completed), stop the runners, and return once the server is fully
 // quiesced. Queued jobs stay persisted as queued; cancelled jobs persist as
 // interrupted; both are re-admitted by the next process.
 func (s *Server) Drain(ctx context.Context) error {

@@ -178,7 +178,7 @@ func TestFinishedJobProgress(t *testing.T) {
 	res := sr.Result
 	want := Progress{
 		Done: 2, Total: 2, Simulated: res.Simulated, CacheHits: res.CacheHits,
-		Resumed: res.Resumed, Failed: len(res.Failures), LastCell: sr.Progress.LastCell,
+		Failed: len(res.Failures), LastCell: sr.Progress.LastCell,
 	}
 	if res.Simulated != 1 || res.CacheHits != 1 {
 		t.Fatalf("result simulated=%d cache_hits=%d, want 1/1", res.Simulated, res.CacheHits)
@@ -201,13 +201,13 @@ func TestFinishedJobProgress(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
 		t.Fatalf("decoding status: %v", err)
 	}
-	for _, k := range []string{"done", "total", "simulated", "cache_hits", "resumed", "failed", "last_cell"} {
+	for _, k := range []string{"done", "total", "simulated", "cache_hits", "failed", "last_cell"} {
 		if _, ok := wire.Progress[k]; !ok {
 			t.Fatalf("progress wire lacks %q: %v", k, wire.Progress)
 		}
 	}
-	if len(wire.Progress) != 7 {
-		t.Fatalf("progress wire has %d fields, want 7: %v", len(wire.Progress), wire.Progress)
+	if len(wire.Progress) != 6 {
+		t.Fatalf("progress wire has %d fields, want 6: %v", len(wire.Progress), wire.Progress)
 	}
 }
 
@@ -449,7 +449,7 @@ func TestDrainInterruptsAndRecoveryResumes(t *testing.T) {
 	}
 
 	// A new process over the same state dir re-admits the job and resumes
-	// it from the manifest instead of recomputing.
+	// it from the cache instead of recomputing.
 	cfg2 := cfg
 	cfg2.Chaos = nil
 	s2, ts2 := openTest(t, cfg2)
@@ -460,9 +460,9 @@ func TestDrainInterruptsAndRecoveryResumes(t *testing.T) {
 	if sr2.Result == nil || len(sr2.Result.Runs) != 4 {
 		t.Fatalf("recovered result incomplete: %+v", sr2.Result)
 	}
-	if sr2.Result.Resumed < checkpointed {
-		t.Fatalf("resumed %d cells, want >= %d (checkpointed before drain)",
-			sr2.Result.Resumed, checkpointed)
+	if sr2.Result.CacheHits < checkpointed || sr2.Result.Simulated >= 4 {
+		t.Fatalf("recovery served %d cells from the cache and simulated %d, want >= %d hits (checkpointed before drain) and < 4 simulated",
+			sr2.Result.CacheHits, sr2.Result.Simulated, checkpointed)
 	}
 	if got := s2.met.recovered.Value(); got != 1 {
 		t.Fatalf("jobs.recovered = %d, want 1", got)

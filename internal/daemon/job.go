@@ -21,7 +21,7 @@ import (
 //	   └─────────────────▶ canceled
 //
 // queued, running and interrupted survive a restart as "queued": the job is
-// re-admitted and its resume manifest replays every cell that already
+// re-admitted and the result cache serves every cell that already
 // completed, so an interrupted campaign resumes instead of recomputing.
 type JobState string
 
@@ -54,23 +54,20 @@ type Progress struct {
 	Total     int `json:"total"`
 	Simulated int `json:"simulated"`
 	CacheHits int `json:"cache_hits"`
-	Resumed   int `json:"resumed"`
 	Failed    int `json:"failed"`
 	// LastCell is the most recently retired cell.
 	LastCell string `json:"last_cell,omitempty"`
 }
 
 // count folds one campaign event into p and reports whether it retired a
-// cell: the engine emits exactly one terminal event (completed, cached,
-// resumed or failed) per retired cell.
+// cell: the engine emits exactly one terminal event (completed, cached or
+// failed) per retired cell.
 func (p *Progress) count(ev campaign.Event) bool {
 	switch ev.Kind {
 	case campaign.EventCellCompleted:
 		p.Simulated++
 	case campaign.EventCellCached:
 		p.CacheHits++
-	case campaign.EventCellResumed:
-		p.Resumed++
 	case campaign.EventCellFailed:
 		p.Failed++
 	default:
@@ -85,9 +82,9 @@ func (p *Progress) count(ev campaign.Event) bool {
 // authoritative account of the run; LastCell is kept.
 func (p *Progress) settle(rep *campaign.Report) {
 	*p = Progress{
-		Done:  rep.Simulated + rep.CacheHits + rep.Resumed + len(rep.Failures),
+		Done:  rep.Simulated + rep.CacheHits + len(rep.Failures),
 		Total: rep.Total, Simulated: rep.Simulated, CacheHits: rep.CacheHits,
-		Resumed: rep.Resumed, Failed: len(rep.Failures), LastCell: p.LastCell,
+		Failed: len(rep.Failures), LastCell: p.LastCell,
 	}
 }
 
@@ -105,7 +102,6 @@ type JobResult struct {
 	Runs      map[string][]*stats.Run `json:"runs"`
 	Simulated int                     `json:"simulated"`
 	CacheHits int                     `json:"cache_hits"`
-	Resumed   int                     `json:"resumed"`
 	Failures  []JobFailure            `json:"failures,omitempty"`
 }
 
@@ -214,7 +210,7 @@ func (j *job) stalledFor(now time.Time) time.Duration {
 func resultOf(rep *campaign.Report) *JobResult {
 	res := &JobResult{
 		Runs:      map[string][]*stats.Run{},
-		Simulated: rep.Simulated, CacheHits: rep.CacheHits, Resumed: rep.Resumed,
+		Simulated: rep.Simulated, CacheHits: rep.CacheHits,
 	}
 	for id, r := range rep.Runs {
 		res.Runs[id] = []*stats.Run{r}
@@ -230,16 +226,11 @@ func resultOf(rep *campaign.Report) *JobResult {
 	return res
 }
 
-// jobsDir / manifestsDir are the state-directory layout.
-func jobsDir(stateDir string) string      { return filepath.Join(stateDir, "jobs") }
-func manifestsDir(stateDir string) string { return filepath.Join(stateDir, "manifests") }
+// jobsDir is the state-directory layout.
+func jobsDir(stateDir string) string { return filepath.Join(stateDir, "jobs") }
 
 func (s *Server) jobPath(id string) string {
 	return filepath.Join(jobsDir(s.cfg.StateDir), id+".json")
-}
-
-func (s *Server) manifestPath(id string) string {
-	return filepath.Join(manifestsDir(s.cfg.StateDir), id+".jsonl")
 }
 
 // persist writes the job's record atomically (temp file + rename, fsync'd):

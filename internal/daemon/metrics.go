@@ -31,7 +31,6 @@ type daemonMetrics struct {
 
 	cellsSimulated *metrics.SyncCounter
 	cellsCached    *metrics.SyncCounter
-	cellsResumed   *metrics.SyncCounter
 	cellsFailed    *metrics.SyncCounter
 
 	// Fed by the campaign event stream: cell retry attempts.
@@ -63,7 +62,6 @@ func newDaemonMetrics(s *Server) *daemonMetrics {
 
 		cellsSimulated: reg.SyncCounter("daemon.cells.simulated"),
 		cellsCached:    reg.SyncCounter("daemon.cells.cache_hits"),
-		cellsResumed:   reg.SyncCounter("daemon.cells.resumed"),
 		cellsFailed:    reg.SyncCounter("daemon.cells.failed"),
 
 		cellsRetried: reg.SyncCounter("daemon.cells.retried"),
@@ -81,10 +79,9 @@ func newDaemonMetrics(s *Server) *daemonMetrics {
 }
 
 // addReport folds one campaign report's cell accounting into the counters.
-func (m *daemonMetrics) addReport(simulated, cached, resumed, failed int) {
+func (m *daemonMetrics) addReport(simulated, cached, failed int) {
 	m.cellsSimulated.Add(uint64(simulated))
 	m.cellsCached.Add(uint64(cached))
-	m.cellsResumed.Add(uint64(resumed))
 	m.cellsFailed.Add(uint64(failed))
 }
 

@@ -31,8 +31,8 @@ type CampaignRequest struct {
 	// DeadlineMS, when positive, bounds the whole campaign's wall-clock
 	// time (capped at the server's MaxDeadline; the server default
 	// applies when zero). The deadline propagates as a context into the
-	// campaign engine; an expired job keeps its partial results and its
-	// resume manifest.
+	// campaign engine; an expired job keeps its partial results, and the
+	// cache keeps every cell it completed.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// WaitMS, when positive, lets the submit call block until the job
 	// reaches a terminal state (capped at the server's MaxWait). Warm-

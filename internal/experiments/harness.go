@@ -22,8 +22,8 @@ import (
 )
 
 // Options scales an experiment. Execution policy — worker-pool width,
-// retry/timeout fault isolation, cache, resume manifest, execution
-// backend — is expressed as campaign options in Campaign: the same
+// retry/timeout fault isolation, cache (which is also the checkpoint),
+// execution backend — is expressed as campaign options in Campaign: the same
 // option set pagecross.RunCampaign, the daemon's spec compiler and
 // direct campaign callers use, so there is exactly one way to configure
 // execution everywhere.
@@ -43,7 +43,8 @@ type Options struct {
 	// Campaign is the execution policy, as campaign options:
 	// campaign.WithWorkers (concurrent simulations, default NumCPU),
 	// WithRetries/WithRunTimeout (per-run fault isolation), WithCache
-	// (content-addressed result cache), WithResume (checkpoint/resume) and
+	// (content-addressed result cache; an interrupted experiment re-run
+	// over the same cache simulates only what had not completed) and
 	// WithEvents (typed execution event stream). Applied verbatim to every
 	// matrix the experiment runs.
 	Campaign []campaign.Option
@@ -65,7 +66,7 @@ type Options struct {
 	// per-workload overrides use.
 	Configure func(cfg *sim.Config, scenario string, wl trace.Workload)
 	// Totals, when non-nil, accumulates campaign cache accounting
-	// (simulated / cache-hit / resumed cells) across every matrix the
+	// (simulated / cache-hit / failed cells) across every matrix the
 	// experiment runs; cmd/experiments prints it after each experiment.
 	Totals *campaign.Totals
 }
@@ -165,12 +166,11 @@ type MatrixReport struct {
 	Matrix   Matrix
 	Failures []RunFailure
 	Total    int // runs attempted = len(scenarios) × len(workloads)
-	// CacheHits, Resumed and Simulated partition the completed runs by
-	// provenance: served from the content-addressed result cache, replayed
-	// from a resume manifest, or actually simulated. Without
-	// campaign.WithCache or campaign.WithResume every completed run is
+	// CacheHits and Simulated partition the completed runs by provenance:
+	// served from the content-addressed result cache, or actually
+	// simulated. Without campaign.WithCache every completed run is
 	// Simulated.
-	CacheHits, Resumed, Simulated int
+	CacheHits, Simulated int
 }
 
 // Complete reports whether every run succeeded.
@@ -232,9 +232,9 @@ func RunMatrix(o Options, wls []trace.Workload, scens []Scenario) (Matrix, error
 // engine's fault isolation (a panicking or erroring run becomes a typed
 // failure-ledger entry; retryable failures retry with backoff per
 // campaign.WithRetries) and, per the other Options.Campaign options, its
-// content-addressed result cache and checkpoint manifest. The returned
-// error is non-nil only when ctx itself is cancelled or expires (or the
-// cache/manifest is unusable); the report then holds whatever completed
+// content-addressed result cache, which checkpoints every completed run.
+// The returned error is non-nil only when ctx itself is cancelled or
+// expires (or the cache is unusable); the report then holds whatever completed
 // before teardown.
 func RunMatrixCtx(ctx context.Context, o Options, wls []trace.Workload, scens []Scenario) (*MatrixReport, error) {
 	o = o.withDefaults()
@@ -262,7 +262,7 @@ func RunMatrixCtx(ctx context.Context, o Options, wls []trace.Workload, scens []
 	if o.Totals != nil {
 		o.Totals.Add(crep)
 	}
-	rep.CacheHits, rep.Resumed, rep.Simulated = crep.CacheHits, crep.Resumed, crep.Simulated
+	rep.CacheHits, rep.Simulated = crep.CacheHits, crep.Simulated
 	for id, run := range crep.Runs {
 		scen, wl := splitCellID(id)
 		if rep.Matrix[scen] == nil {

@@ -14,18 +14,19 @@
 //	run, err := pagecross.Run(context.Background(), cfg, w)
 //	fmt.Println(run.IPC())
 //
-// Whole evaluations run as campaigns — DAGs of cached simulation cells:
+// Whole evaluations run as campaigns — DAGs of cached simulation cells.
+// The cache is also the checkpoint: re-running an interrupted campaign
+// with the same cache simulates only the cells that had not completed.
 //
 //	spec := pagecross.CampaignSpec{Name: "sweep", Cells: cells}
-//	rep, err := pagecross.RunCampaign(ctx, spec,
-//		pagecross.WithCache(".cache"), pagecross.WithResume("sweep.manifest"))
+//	rep, err := pagecross.RunCampaign(ctx, spec, pagecross.WithCache(".cache"))
 //
 // # Layers
 //
 //   - The simulator: Config/Run/RunMix simulate single- and multi-core
 //     systems over synthetic workloads (SeenWorkloads, UnseenWorkloads);
-//     RunCampaign executes whole cell DAGs with content-addressed result
-//     caching and checkpoint/resume.
+//     RunCampaign executes whole cell DAGs with a content-addressed result
+//     cache that doubles as the checkpoint.
 //   - The paper's mechanism: FilterConfig/NewFilter build MOKA filters from
 //     program and system features; DripperConfig returns the Table II
 //     prototypes; SelectFeatures reruns the offline selection of §III-D3.
@@ -118,7 +119,7 @@ type CampaignSpec = campaign.Spec
 type CampaignCell = campaign.Cell
 
 // CampaignReport is a campaign's outcome: results by cell ID, the failure
-// ledger, and the simulated/cache-hit/resumed accounting.
+// ledger, and the simulated/cache-hit accounting.
 type CampaignReport = campaign.Report
 
 // CampaignFailure is one campaign failure-ledger entry.
@@ -137,11 +138,12 @@ type CacheKey = campaign.Key
 const CacheSchemaVersion = campaign.SchemaVersion
 
 // RunCampaign executes a campaign spec on an in-process worker pool that
-// takes ready cells in spec order, with per-cell fault isolation. With WithCache, every cell's result
-// is memoized in a content-addressed on-disk cache — a warm-cache re-run
-// performs zero simulations; with WithResume, completed cells are
-// checkpointed to a manifest and an interrupted campaign picks up where it
-// stopped. Config changes invalidate exactly the affected cells.
+// takes ready cells in spec order, with per-cell fault isolation. With
+// WithCache, every cell's result is synced to a content-addressed on-disk
+// cache as the cell completes — a warm-cache re-run performs zero
+// simulations, and an interrupted campaign re-run over the same cache
+// picks up where it stopped. Config changes invalidate exactly the
+// affected cells.
 func RunCampaign(ctx context.Context, spec CampaignSpec, opts ...CampaignOption) (*CampaignReport, error) {
 	return campaign.Run(ctx, spec, opts...)
 }
@@ -152,12 +154,8 @@ func WithCache(dir string) CampaignOption { return campaign.WithCache(dir) }
 // WithWorkers sets the campaign worker-pool width (default NumCPU).
 func WithWorkers(n int) CampaignOption { return campaign.WithWorkers(n) }
 
-// WithResume checkpoints completed cells to (and resumes them from) the
-// JSONL manifest at path.
-func WithResume(manifest string) CampaignOption { return campaign.WithResume(manifest) }
-
 // CampaignEvent is one entry of a campaign's typed event stream (cell
-// started/cached/resumed/retried/completed/failed).
+// started/cached/retried/completed/failed).
 type CampaignEvent = campaign.Event
 
 // WithEvents installs a callback receiving the campaign's totally ordered

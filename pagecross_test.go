@@ -128,9 +128,8 @@ func TestFacadeCampaign(t *testing.T) {
 	}}
 	dir := t.TempDir()
 	opts := []CampaignOption{
-		WithCache(dir + "/cache"),
+		WithCache(dir),
 		WithWorkers(2),
-		WithResume(dir + "/manifest.jsonl"),
 	}
 
 	rep, err := RunCampaign(context.Background(), spec, opts...)
@@ -151,7 +150,7 @@ func TestFacadeCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Simulated != 0 || rep2.CacheHits+rep2.Resumed != rep2.Total {
+	if rep2.Simulated != 0 || rep2.CacheHits != rep2.Total {
 		t.Fatalf("warm campaign still simulated: %+v", rep2)
 	}
 	if got := Speedup(rep2.Runs["drip"], rep2.Runs["base"]); got != sp {
