@@ -91,6 +91,7 @@ fuzz:
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzSampledVsFull -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wdl -run '^$$' -fuzz FuzzWDLParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wdl -run '^$$' -fuzz FuzzWDLRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lrustack -run '^$$' -fuzz FuzzLRUStack -fuzztime $(FUZZTIME)
 
 # check is the CI gate: vet, build, and the full suite under the race
 # detector (the resilience tests exercise the worker pool concurrently).

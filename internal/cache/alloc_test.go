@@ -13,11 +13,22 @@ type constLower struct{ latency uint64 }
 
 func (l constLower) Access(_ *Request, cycle uint64) uint64 { return cycle + l.latency }
 
-// TestBlockIs32Bytes pins the block record at half a host cache line: the
-// tag lives only in the packed row and the flags share one word.
-func TestBlockIs32Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(Block{}); got != 32 {
-		t.Fatalf("Block is %d bytes, want 32", got)
+// TestWayFootprint pins the set metadata's host footprint: per way, an
+// 8-byte tag, one state byte and a 16-byte timing record; per set, one
+// 8-byte LRU-stack word.
+func TestWayFootprint(t *testing.T) {
+	c := smallCache(t, constLower{1})
+	perWay := unsafe.Sizeof(c.tags[0]) + unsafe.Sizeof(c.state[0]) + unsafe.Sizeof(c.times[0])
+	if perWay != 25 {
+		t.Fatalf("%d bytes per way, want 25", perWay)
+	}
+	if perSet := unsafe.Sizeof(c.stacks[0]); perSet != 8 {
+		t.Fatalf("%d bytes of recency state per set, want 8", perSet)
+	}
+	n := c.cfg.Sets * c.cfg.Ways
+	if len(c.tags) != n || len(c.state) != n || len(c.times) != n || len(c.stacks) != c.cfg.Sets {
+		t.Fatalf("rows tags %d state %d times %d stacks %d for %d sets x %d ways",
+			len(c.tags), len(c.state), len(c.times), len(c.stacks), c.cfg.Sets, c.cfg.Ways)
 	}
 }
 

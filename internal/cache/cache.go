@@ -14,11 +14,16 @@
 // §III-C2), and the cache exposes fill/eviction/demand-hit hooks so the
 // page-cross filter can train on L1D events without the cache knowing the
 // filter exists.
+//
+// Set state is laid out like the hardware's metadata arrays: a tag row, one
+// state byte per way, a timing row read only for ways filled by a timed
+// access, and one packed LRU-stack word per set.
 package cache
 
 import (
 	"fmt"
 
+	"repro/internal/lrustack"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/stats"
@@ -44,18 +49,24 @@ type Request struct {
 	Delta       int64
 }
 
-// Block is one cache line's metadata. Its tag lives only in the packed tags
-// row of the cache; the block keeps the full line address instead.
-type Block struct {
-	pa    mem.PAddr // line-aligned physical address
-	issue uint64    // cycle the fill request was issued
-	ready uint64    // fill-completion cycle
+// The bits of a way's state byte. An empty way's byte is zero; validity
+// itself lives in the tag row.
+const (
+	stDirty     uint8 = 1 << iota
+	stPrefetch        // filled by a prefetch (kept until eviction)
+	stPageCross       // the paper's PCB bit
+	stServedHit       // served >=1 demand access since fill
+	stTimed           // the way's timing row holds its fill's issue/ready cycles
 
-	valid     bool
-	dirty     bool
-	prefetch  bool // filled by a prefetch, cleared design-wise never (stat kept until evict)
-	pageCross bool // the paper's PCB bit
-	servedHit bool // served >=1 demand access since fill
+	rrpvShift       = 6
+	stRRPV    uint8 = 3 << rrpvShift // SRRIP's 2-bit re-reference prediction
+)
+
+// timing is the fill-time record of a way installed by a timed access. A
+// way without stTimed reads as issue = ready = 0: resident since cycle 0.
+type timing struct {
+	issue uint64 // cycle the fill request was issued
+	ready uint64 // fill-completion cycle
 }
 
 // EvictInfo describes an evicted block to the eviction hook.
@@ -113,6 +124,9 @@ func (c Config) Validate() error {
 	if c.Ways <= 0 {
 		return fmt.Errorf("cache %s: ways %d must be positive", c.Name, c.Ways)
 	}
+	if c.Ways > lrustack.MaxWays {
+		return fmt.Errorf("cache %s: ways %d exceeds the packed LRU stack's limit of %d", c.Name, c.Ways, lrustack.MaxWays)
+	}
 	if c.MSHRs <= 0 {
 		return fmt.Errorf("cache %s: MSHRs %d must be positive", c.Name, c.MSHRs)
 	}
@@ -136,18 +150,15 @@ const invalidTag = ^uint64(0)
 type Cache struct {
 	cfg   Config
 	lower Level
-	sets  [][]Block
-	// tags is the packed struct-of-arrays mirror of each block's tag (one
-	// word per way, invalidTag for empty ways): the associative lookup scan
-	// reads one contiguous row instead of striding across Block records.
-	// fill, Warm and Flush keep it in exact sync with the blocks.
-	tags []uint64
-	// lrus is the packed replacement state (LRU stamp, or RRPV for SRRIP),
-	// one word per way parallel to tags. Victim selection scans this row and
-	// the tag row — two contiguous arrays — instead of striding across the
-	// full Block records.
-	lrus  []uint64
-	clock uint64 // monotonic LRU counter
+	// tags, state and times are parallel rows indexed by set*Ways+way. The
+	// tag row is the only copy of a line's address (invalidTag marks an
+	// empty way); state holds the way's st* bits; times is read only when
+	// stTimed is set, so functional Warm installs never touch it.
+	tags  []uint64
+	state []uint8
+	times []timing
+	// stacks holds one packed LRU order per set (LRU policy only).
+	stacks []lrustack.Stack
 	// setShift is log2(Sets), precomputed: tag extraction runs on every
 	// access at every level and must not re-derive it.
 	setShift uint
@@ -198,23 +209,24 @@ func New(cfg Config, lower Level) (*Cache, error) {
 	if lower == nil {
 		return nil, fmt.Errorf("cache %s: nil lower level", cfg.Name)
 	}
-	sets := make([][]Block, cfg.Sets)
-	blocks := make([]Block, cfg.Sets*cfg.Ways)
-	for i := range sets {
-		sets[i], blocks = blocks[:cfg.Ways], blocks[cfg.Ways:]
-	}
-	tags := make([]uint64, cfg.Sets*cfg.Ways)
+	n := cfg.Sets * cfg.Ways
+	tags := make([]uint64, n)
 	for i := range tags {
 		tags[i] = invalidTag
+	}
+	stacks := make([]lrustack.Stack, cfg.Sets)
+	for i := range stacks {
+		stacks[i] = lrustack.New(cfg.Ways)
 	}
 	lw, _ := lower.(warmable)
 	return &Cache{
 		cfg:         cfg,
 		lower:       lower,
 		lowerWarm:   lw,
-		sets:        sets,
 		tags:        tags,
-		lrus:        make([]uint64, cfg.Sets*cfg.Ways),
+		state:       make([]uint8, n),
+		times:       make([]timing, n),
+		stacks:      stacks,
 		setShift:    uint(log2(cfg.Sets)),
 		mshrs:       newMSHRFile(cfg.MSHRs),
 		missLatEWMA: 300, // sane prior until real misses calibrate it
@@ -228,6 +240,20 @@ func (c *Cache) setIndex(pa mem.PAddr) uint64 {
 
 func (c *Cache) tag(pa mem.PAddr) uint64 {
 	return pa.LineID() >> c.setShift
+}
+
+// lineAddr rebuilds the line address held under tag in set si.
+func (c *Cache) lineAddr(si, tag uint64) mem.PAddr {
+	return mem.PAddr((tag<<c.setShift | si) << mem.LineBits)
+}
+
+// when returns the fill-time record of row index i; an untimed way reads
+// as resident since cycle 0.
+func (c *Cache) when(i uint64) timing {
+	if c.state[i]&stTimed == 0 {
+		return timing{}
+	}
+	return c.times[i]
 }
 
 func log2(x int) int {
@@ -251,13 +277,13 @@ func (c *Cache) findWay(si, tag uint64) int {
 	return -1
 }
 
-// lookup returns the resident block for pa, or nil.
-func (c *Cache) lookup(pa mem.PAddr) *Block {
+// lookup returns the row index of the way holding pa, or -1.
+func (c *Cache) lookup(pa mem.PAddr) int {
 	si := c.setIndex(pa)
 	if wi := c.findWay(si, c.tag(pa)); wi >= 0 {
-		return &c.sets[si][wi]
+		return int(si)*c.cfg.Ways + wi
 	}
-	return nil
+	return -1
 }
 
 // InjectMSHRLeak makes every Nth MSHR release be lost (0 disables): the
@@ -304,42 +330,34 @@ func (c *Cache) access(req *Request, cycle uint64) uint64 {
 	// demand that arrives before it physically existed. Such a demand
 	// misses and fetches independently; the overtaken prefetch is wasted.
 	hitSI := c.setIndex(req.PA)
-	if wi := c.findWay(hitSI, c.tag(req.PA)); wi >= 0 && cycle >= c.sets[hitSI][wi].issue {
-		b := &c.sets[hitSI][wi]
-		c.touch(hitSI, wi)
-		ready := cycle + c.cfg.Latency
-		merged := b.ready > ready
-		if merged {
-			ready = b.ready
-		}
-		if demand {
+	if wi := c.findWay(hitSI, c.tag(req.PA)); wi >= 0 {
+		i := hitSI*uint64(c.cfg.Ways) + uint64(wi)
+		if t := c.when(i); cycle >= t.issue {
+			c.touch(hitSI, wi)
+			ready := cycle + c.cfg.Latency
+			merged := t.ready > ready
 			if merged {
-				c.Stats.DemandMisses++
-			} else {
-				c.Stats.DemandHits++
+				ready = t.ready
 			}
-			first := !b.servedHit
-			if b.prefetch && first {
-				c.Stats.UsefulPrefetches++
-				if b.pageCross {
-					c.Stats.PGCUseful++
+			if demand {
+				if merged {
+					c.Stats.DemandMisses++
+				} else {
+					c.Stats.DemandHits++
 				}
+				first, st := c.serveDemand(req, i)
+				if c.OnDemandHit != nil {
+					c.OnDemandHit(HitInfo{
+						PA: req.PA, VA: req.VA, PC: req.PC,
+						Prefetch: st&stPrefetch != 0, PageCross: st&stPageCross != 0,
+						FirstHit: first,
+					})
+				}
+			} else if req.Type == mem.Prefetch {
+				c.Stats.PrefetchHits++
 			}
-			b.servedHit = true
-			if req.Type == mem.Store {
-				b.dirty = true
-			}
-			if c.OnDemandHit != nil {
-				c.OnDemandHit(HitInfo{
-					PA: req.PA, VA: req.VA, PC: req.PC,
-					Prefetch: b.prefetch, PageCross: b.pageCross,
-					FirstHit: first,
-				})
-			}
-		} else if req.Type == mem.Prefetch {
-			c.Stats.PrefetchHits++
+			return ready
 		}
-		return ready
 	}
 
 	// In-flight merge. The block was installed eagerly at miss time, so a
@@ -353,17 +371,8 @@ func (c *Cache) access(req *Request, cycle uint64) uint64 {
 		if demand {
 			c.Stats.DemandMisses++
 			fl.demandMerge = true
-			if b := c.lookup(req.PA); b != nil {
-				if b.prefetch && !b.servedHit {
-					c.Stats.UsefulPrefetches++
-					if b.pageCross {
-						c.Stats.PGCUseful++
-					}
-				}
-				b.servedHit = true
-				if req.Type == mem.Store {
-					b.dirty = true
-				}
+			if i := c.lookup(req.PA); i >= 0 {
+				c.serveDemand(req, uint64(i))
 			}
 		} else if req.Type == mem.Prefetch {
 			c.Stats.PrefetchHits++
@@ -421,23 +430,40 @@ func (c *Cache) access(req *Request, cycle uint64) uint64 {
 	return ready
 }
 
+// serveDemand marks row i as having served a demand access, crediting a
+// prefetched block's first use, and returns whether this was its first
+// demand and the way's state before the access.
+func (c *Cache) serveDemand(req *Request, i uint64) (first bool, st uint8) {
+	st = c.state[i]
+	first = st&stServedHit == 0
+	if first && st&stPrefetch != 0 {
+		c.Stats.UsefulPrefetches++
+		if st&stPageCross != 0 {
+			c.Stats.PGCUseful++
+		}
+	}
+	ns := st | stServedHit
+	if req.Type == mem.Store {
+		ns |= stDirty
+	}
+	c.state[i] = ns
+	return first, st
+}
+
 // touch updates replacement state on a hit.
 func (c *Cache) touch(si uint64, wi int) {
-	idx := si*uint64(c.cfg.Ways) + uint64(wi)
 	switch c.cfg.Repl {
 	case ReplSRRIP:
-		c.lrus[idx] = 0 // RRPV: re-referenced soon
+		c.state[si*uint64(c.cfg.Ways)+uint64(wi)] &^= stRRPV // re-referenced soon
 	case ReplRandom:
 		// Random replacement keeps no reuse state.
 	default: // LRU
-		c.clock++
-		c.lrus[idx] = c.clock
+		c.stacks[si].Touch(wi)
 	}
 }
 
 // victimIn picks the way to replace in set si, per the configured policy.
-// Validity comes from the packed tag row (invalidTag marks empty ways), so
-// the scan never dereferences the Block records.
+// Validity comes from the packed tag row (invalidTag marks empty ways).
 func (c *Cache) victimIn(si uint64) int {
 	ways := uint64(c.cfg.Ways)
 	keys := c.tags[si*ways : si*ways+ways]
@@ -452,48 +478,44 @@ func (c *Cache) victimIn(si uint64) int {
 // victimFull picks the replacement victim in set si assuming every way is
 // valid (the caller has already checked the tag row for empty ways).
 func (c *Cache) victimFull(si uint64) int {
-	ways := uint64(c.cfg.Ways)
-	lrus := c.lrus[si*ways : si*ways+ways]
 	switch c.cfg.Repl {
 	case ReplSRRIP:
-		// Find an RRPV-3 block, aging the set until one exists.
+		// Find an RRPV-3 block, aging the set until one exists. Aging runs
+		// only while every RRPV is below 3, so the 2-bit field never wraps.
+		ways := uint64(c.cfg.Ways)
+		row := c.state[si*ways : si*ways+ways]
 		for {
-			for i, v := range lrus {
-				if v >= 3 {
+			for i, st := range row {
+				if st&stRRPV == stRRPV {
 					return i
 				}
 			}
-			for i := range lrus {
-				lrus[i]++
+			for i := range row {
+				row[i] += 1 << rrpvShift
 			}
 		}
 	case ReplRandom:
 		c.rng = c.rng*6364136223846793005 + 1442695040888963407
-		return int((c.rng >> 33) % ways)
+		return int((c.rng >> 33) % uint64(c.cfg.Ways))
 	default: // LRU
-		victim := 0
-		var oldest uint64 = ^uint64(0)
-		for i, v := range lrus {
-			if v < oldest {
-				oldest = v
-				victim = i
-			}
-		}
-		return victim
+		return c.stacks[si].Victim(c.cfg.Ways)
 	}
 }
 
-// fillStamp is the replacement state of a freshly installed block.
-func (c *Cache) fillStamp() uint64 {
+// install writes tag and state st into way wi of set si and gives the way
+// its fill-time replacement state.
+func (c *Cache) install(si uint64, wi int, tag uint64, st uint8) {
+	i := si*uint64(c.cfg.Ways) + uint64(wi)
 	switch c.cfg.Repl {
 	case ReplSRRIP:
-		return 2 // RRPV: long re-reference interval
+		st |= 2 << rrpvShift // RRPV: long re-reference interval
 	case ReplRandom:
-		return 0
-	default:
-		c.clock++
-		return c.clock
+		// No reuse state to initialise.
+	default: // LRU
+		c.stacks[si].Touch(wi)
 	}
+	c.tags[i] = tag
+	c.state[i] = st
 }
 
 // fill installs the line, evicting a victim if needed. When the same line
@@ -502,29 +524,31 @@ func (c *Cache) fillStamp() uint64 {
 // copies of one tag.
 func (c *Cache) fill(req *Request, fl *mshr, issue, ready uint64) {
 	si := c.setIndex(req.PA)
-	set := c.sets[si]
 	tag := c.tag(req.PA)
 	wi := c.findWay(si, tag)
 	if wi < 0 {
 		wi = c.victimIn(si)
 	}
-	b := &set[wi]
-	if b.valid {
-		c.evict(b)
+	i := si*uint64(c.cfg.Ways) + uint64(wi)
+	if c.tags[i] != invalidTag {
+		c.evict(si, i)
 	}
 	isPrefetch := req.Type == mem.Prefetch
-	*b = Block{
-		valid:     true,
-		dirty:     req.Type == mem.Store,
-		pa:        req.PA.Line(),
-		issue:     issue,
-		ready:     ready,
-		prefetch:  isPrefetch,
-		pageCross: fl.pageCross,
-		servedHit: fl.demandMerge && !isPrefetch,
+	st := stTimed
+	if req.Type == mem.Store {
+		st |= stDirty
 	}
-	c.tags[si*uint64(c.cfg.Ways)+uint64(wi)] = tag
-	c.lrus[si*uint64(c.cfg.Ways)+uint64(wi)] = c.fillStamp()
+	if isPrefetch {
+		st |= stPrefetch
+	}
+	if fl.pageCross {
+		st |= stPageCross
+	}
+	if fl.demandMerge && !isPrefetch {
+		st |= stServedHit
+	}
+	c.install(si, wi, tag, st)
+	c.times[i] = timing{issue: issue, ready: ready}
 	if isPrefetch {
 		c.Stats.PrefetchFills++
 		if fl.pageCross {
@@ -536,33 +560,35 @@ func (c *Cache) fill(req *Request, fl *mshr, issue, ready uint64) {
 	}
 }
 
-// evict notifies hooks, accounts stats and issues a writeback for dirty data.
-func (c *Cache) evict(b *Block) {
+// evict notifies hooks, accounts stats and issues a writeback for dirty
+// data, for the valid way at row index i of set si.
+func (c *Cache) evict(si, i uint64) {
+	st := c.state[i]
 	c.Stats.Evictions++
-	if b.prefetch && !b.servedHit {
+	if st&(stPrefetch|stServedHit) == stPrefetch {
 		c.Stats.UselessPrefetches++
-		if b.pageCross {
+		if st&stPageCross != 0 {
 			c.Stats.PGCUseless++
 		}
 	}
-	if b.dirty {
+	if st&stDirty != 0 {
 		c.Stats.Writebacks++
 	}
 	if c.OnEvict != nil {
 		c.OnEvict(EvictInfo{
-			PA:        b.pa,
-			Prefetch:  b.prefetch,
-			PageCross: b.pageCross,
-			ServedHit: b.servedHit,
-			Dirty:     b.dirty,
+			PA:        c.lineAddr(si, c.tags[i]),
+			Prefetch:  st&stPrefetch != 0,
+			PageCross: st&stPageCross != 0,
+			ServedHit: st&stServedHit != 0,
+			Dirty:     st&stDirty != 0,
 		})
 	}
 }
 
 // accessWriteback installs or updates a dirty line without a fill from below.
 func (c *Cache) accessWriteback(req *Request, cycle uint64) uint64 {
-	if b := c.lookup(req.PA); b != nil {
-		b.dirty = true
+	if i := c.lookup(req.PA); i >= 0 {
+		c.state[i] |= stDirty
 		return cycle + c.cfg.Latency
 	}
 	// Non-inclusive hierarchy: writebacks that miss are forwarded down.
@@ -582,12 +608,12 @@ func (c *Cache) RegisterMetrics(r *metrics.Registry, prefix string) {
 
 // Contains reports whether the line holding pa is resident (test helper and
 // ISO-storage bookkeeping).
-func (c *Cache) Contains(pa mem.PAddr) bool { return c.lookup(pa) != nil }
+func (c *Cache) Contains(pa mem.PAddr) bool { return c.lookup(pa) >= 0 }
 
 // ServedHit reports whether a resident block has served a demand hit.
 func (c *Cache) ServedHit(pa mem.PAddr) (served, resident bool) {
-	if b := c.lookup(pa); b != nil {
-		return b.servedHit, true
+	if i := c.lookup(pa); i >= 0 {
+		return c.state[i]&stServedHit != 0, true
 	}
 	return false, false
 }
@@ -600,9 +626,11 @@ func (c *Cache) ServedHit(pa mem.PAddr) (served, resident bool) {
 //     entry is genuinely in flight (ready > cycle) — a completed fill still
 //     occupying an MSHR is a lost release;
 //   - MSHR occupancy never exceeds the configured capacity;
-//   - no set holds two valid blocks with the same tag, and every block's
-//     recorded address maps back to the set and tag it sits under;
-//   - block fill timestamps are ordered (issue ≤ ready).
+//   - each set's LRU stack is a permutation of its way ids;
+//   - an empty way carries no state bits;
+//   - every valid tag rebuilds a line address that maps back to its set
+//     and tag, and no set holds one tag twice;
+//   - fill timestamps are ordered (issue ≤ ready).
 //
 // It calls the same lazy gc every access path runs, so checking is
 // semantically invisible to the timing model.
@@ -612,28 +640,29 @@ func (c *Cache) CheckInvariants(cycle uint64) error {
 		return err
 	}
 	ways := uint64(c.cfg.Ways)
-	for si := range c.sets {
-		set := c.sets[si]
-		row := c.tags[uint64(si)*ways : uint64(si)*ways+ways]
-		for wi := range set {
-			b := &set[wi]
-			tag := row[wi]
-			if b.valid != (tag != invalidTag) {
-				return fmt.Errorf("tag-desync: %s set %d way %d valid=%v but packed tag %#x", c.cfg.Name, si, wi, b.valid, tag)
-			}
-			if !b.valid {
+	for si := uint64(0); si < uint64(c.cfg.Sets); si++ {
+		if err := c.stacks[si].Check(c.cfg.Ways); err != nil {
+			return fmt.Errorf("recency-perm: %s set %d: %v", c.cfg.Name, si, err)
+		}
+		row := c.tags[si*ways : si*ways+ways]
+		for wi, tag := range row {
+			i := si*ways + uint64(wi)
+			if tag == invalidTag {
+				if c.state[i] != 0 {
+					return fmt.Errorf("tag-desync: %s set %d way %d is empty but holds state %#x", c.cfg.Name, si, wi, c.state[i])
+				}
 				continue
 			}
-			if int(c.setIndex(b.pa)) != si || c.tag(b.pa) != tag {
-				return fmt.Errorf("block-misplaced: %s block pa %#x stored in set %d tag %#x, address maps to set %d tag %#x",
-					c.cfg.Name, b.pa, si, tag, c.setIndex(b.pa), c.tag(b.pa))
+			if pa := c.lineAddr(si, tag); c.tag(pa) != tag {
+				return fmt.Errorf("block-misplaced: %s set %d way %d tag %#x rebuilds pa %#x, which maps to tag %#x",
+					c.cfg.Name, si, wi, tag, pa, c.tag(pa))
 			}
-			if b.issue > b.ready {
-				return fmt.Errorf("block-time-order: %s block pa %#x issue %d > ready %d", c.cfg.Name, b.pa, b.issue, b.ready)
+			if t := c.when(i); t.issue > t.ready {
+				return fmt.Errorf("block-time-order: %s block pa %#x issue %d > ready %d", c.cfg.Name, c.lineAddr(si, tag), t.issue, t.ready)
 			}
 			for wj := wi + 1; wj < len(row); wj++ {
 				if row[wj] == tag {
-					return fmt.Errorf("duplicate-tag: %s set %d holds tag %#x twice (pa %#x)", c.cfg.Name, si, tag, b.pa)
+					return fmt.Errorf("duplicate-tag: %s set %d holds tag %#x twice (pa %#x)", c.cfg.Name, si, tag, c.lineAddr(si, tag))
 				}
 			}
 		}
@@ -644,19 +673,16 @@ func (c *Cache) CheckInvariants(cycle uint64) error {
 // Flush invalidates all blocks, firing eviction hooks. Used when a core
 // finishes its trace in multi-core replay.
 func (c *Cache) Flush() {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			b := &c.sets[si][wi]
-			if b.valid {
-				c.evict(b)
-				b.valid = false
-			}
+	ways := uint64(c.cfg.Ways)
+	for i, tag := range c.tags {
+		if tag != invalidTag {
+			c.evict(uint64(i)/ways, uint64(i))
 		}
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
-		c.lrus[i] = 0
 	}
+	clear(c.state)
 	c.mshrs.flush()
 }
 
@@ -676,47 +702,39 @@ type warmable interface {
 // would have left it. Dirty victims are warm-written to the lower level to
 // preserve its residency too; prefetch/PCB metadata of victims is dropped
 // silently (the measurement counters are frozen during gaps by design).
+// Installs leave stTimed clear, so the timing row is never touched.
 func (c *Cache) Warm(pa mem.PAddr, store bool) {
 	si := c.setIndex(pa)
 	tag := c.tag(pa)
+	st := stServedHit
+	if store {
+		st |= stDirty
+	}
 	// One fused pass over the tag row finds a resident hit and the first
 	// empty way together; misses in a full set fall through to the policy
 	// victim scan. Warm traffic is overwhelmingly full-hierarchy misses
 	// (the gap's new working set), so saving the second row traversal per
 	// level is a measurable share of functional-warmup time.
-	ways := uint64(c.cfg.Ways)
+	base := si * uint64(c.cfg.Ways)
 	inv := -1
-	for i, k := range c.tags[si*ways : si*ways+ways] {
+	for i, k := range c.tags[base : base+uint64(c.cfg.Ways)] {
 		if k == tag {
-			b := &c.sets[si][i]
 			c.touch(si, i)
-			if store {
-				b.dirty = true
-			}
-			b.servedHit = true
+			c.state[base+uint64(i)] |= st
 			return
 		}
 		if k == invalidTag && inv < 0 {
 			inv = i
 		}
 	}
-	set := c.sets[si]
 	wi := inv
 	if wi < 0 {
 		wi = c.victimFull(si)
+		if v := base + uint64(wi); c.state[v]&stDirty != 0 && c.lowerWarm != nil {
+			c.lowerWarm.Warm(c.lineAddr(si, c.tags[v]), true)
+		}
 	}
-	b := &set[wi]
-	if b.valid && b.dirty && c.lowerWarm != nil {
-		c.lowerWarm.Warm(b.pa, true)
-	}
-	*b = Block{
-		valid:     true,
-		dirty:     store,
-		pa:        pa.Line(),
-		servedHit: true,
-	}
-	c.tags[si*uint64(c.cfg.Ways)+uint64(wi)] = tag
-	c.lrus[si*uint64(c.cfg.Ways)+uint64(wi)] = c.fillStamp()
+	c.install(si, wi, tag, st)
 	if c.lowerWarm != nil {
 		c.lowerWarm.Warm(pa, false)
 	}

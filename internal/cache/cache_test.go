@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -40,6 +41,14 @@ func TestConfigValidate(t *testing.T) {
 		if _, err := New(cfg, &fakeLower{}); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
+	}
+	// A set's LRU order is one word of sixteen 4-bit way ids.
+	if _, err := New(Config{Name: "e", Sets: 4, Ways: 16, MSHRs: 1}, &fakeLower{}); err != nil {
+		t.Errorf("16-way config rejected: %v", err)
+	}
+	_, err := New(Config{Name: "f", Sets: 4, Ways: 17, MSHRs: 1}, &fakeLower{})
+	if err == nil || !strings.Contains(err.Error(), "packed LRU stack") {
+		t.Errorf("17-way config: err = %v, want the packed-stack limit", err)
 	}
 	if _, err := New(Config{Name: "d", Sets: 4, Ways: 1, MSHRs: 1}, nil); err == nil {
 		t.Error("nil lower level accepted")

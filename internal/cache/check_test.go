@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/lrustack"
 	"repro/internal/mem"
 )
 
@@ -53,39 +54,43 @@ func TestCheckInvariantsCatchesOverflowAndOrdering(t *testing.T) {
 }
 
 func TestCheckInvariantsCatchesSetCorruption(t *testing.T) {
-	corrupt := func(t *testing.T, mutate func(c *Cache, b *Block), want string) {
+	// corrupt fills one line of a fresh 4-set x 4-way cache, hands mutate
+	// the row index of the way it landed in, and asserts the violation.
+	corrupt := func(t *testing.T, mutate func(c *Cache, i int), want string) {
 		t.Helper()
-		c := smallCache(t, &fakeLower{latency: 1})
+		c, err := New(Config{Name: "test", Sets: 4, Ways: 4, Latency: 2, MSHRs: 4}, &fakeLower{latency: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
 		c.Access(load(0x4000), 0)
-		b := c.lookup(0x4000)
-		if b == nil {
+		i := c.lookup(0x4000)
+		if i < 0 {
 			t.Fatal("fill missing")
 		}
-		mutate(c, b)
+		mutate(c, i)
 		checkAfter(t, c, 1_000, want)
 	}
-	// row returns the packed tag-row slot of way wi in b's set.
-	row := func(c *Cache, b *Block, wi int) *uint64 {
-		return &c.tags[c.setIndex(b.pa)*uint64(c.cfg.Ways)+uint64(wi)]
-	}
-	// The packed row is the only copy of a block's tag: a row entry that
-	// disagrees with the block's address is a misplaced block.
-	corrupt(t, func(c *Cache, b *Block) {
-		wi := c.findWay(c.setIndex(b.pa), c.tag(b.pa))
-		*row(c, b, wi) ^= 1
-	}, "block-misplaced:")
-	corrupt(t, func(c *Cache, b *Block) { b.pa += mem.PAddr(c.cfg.Sets * mem.LineSize) }, "block-misplaced:")
-	corrupt(t, func(c *Cache, b *Block) { b.issue = b.ready + 10 }, "block-time-order:")
-	corrupt(t, func(c *Cache, b *Block) {
-		set := c.sets[c.setIndex(b.pa)]
-		set[1] = *b // second way, same tag
-		*row(c, b, 1) = c.tag(b.pa)
+	// The tag row is the only copy of a line's address: a tag with bits the
+	// rebuilt address cannot hold names no line of this set.
+	corrupt(t, func(c *Cache, i int) { c.tags[i] |= 1 << 62 }, "block-misplaced:")
+	corrupt(t, func(c *Cache, i int) { c.times[i].issue = c.times[i].ready + 10 }, "block-time-order:")
+	corrupt(t, func(c *Cache, i int) {
+		c.tags[i^1], c.state[i^1] = c.tags[i], c.state[i] // second way, same tag
 	}, "duplicate-tag:")
-	// Validity and the row's empty-way marker must agree both ways.
-	corrupt(t, func(c *Cache, b *Block) {
-		*row(c, b, c.findWay(c.setIndex(b.pa), c.tag(b.pa))) = invalidTag
-	}, "tag-desync:")
-	corrupt(t, func(c *Cache, b *Block) {
-		*row(c, b, 1) = c.tag(b.pa) ^ 1 // invalid way claims a tag
-	}, "tag-desync:")
+	// An empty way carries no state: neither a stray bit on a never-filled
+	// way nor the state left behind when a valid way loses its tag.
+	corrupt(t, func(c *Cache, i int) { c.state[i^1] = stDirty }, "tag-desync:")
+	corrupt(t, func(c *Cache, i int) { c.tags[i] = invalidTag }, "tag-desync:")
+	// The set's recency word must stay a permutation of its way ids.
+	stack := func(c *Cache, i int) *lrustack.Stack { return &c.stacks[i/c.cfg.Ways] }
+	corrupt(t, func(c *Cache, i int) {
+		s := stack(c, i) // duplicate the MRU way's nibble over the LRU one
+		*s = *s&^(0xF<<12) | (*s&0xF)<<12
+	}, "recency-perm:")
+	corrupt(t, func(c *Cache, i int) {
+		// A touch of way 2 (position 2) that removes position 1 instead:
+		// way 2 ends up twice and way 1 is lost.
+		s := stack(c, i)
+		*s = *s&^0xFF | (*s&0xF)<<4 | 2
+	}, "recency-perm:")
 }

@@ -78,12 +78,11 @@ func TestAllPoliciesPreserveInvariant(t *testing.T) {
 		}
 		seen := map[uint64]bool{}
 		count := 0
-		for _, b := range c.sets[0] {
-			if !b.valid {
+		for _, tag := range c.tags[:c.cfg.Ways] {
+			if tag == invalidTag {
 				continue
 			}
 			count++
-			tag := c.tag(b.pa)
 			if seen[tag] {
 				t.Fatalf("%s: duplicate tag %#x in set", repl, tag)
 			}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/lrustack"
 	"repro/internal/mem"
 	"repro/internal/vmem"
 )
@@ -71,6 +72,27 @@ func TestCheckInvariants(t *testing.T) {
 			t.Fatalf("CheckInvariants = %v", err)
 		}
 	})
+	// The set's recency word must stay a permutation of its way ids, both
+	// when a nibble is overwritten with another way's id and when a touch
+	// removes the wrong position (way 2 moves to MRU, way 1 is lost).
+	for _, tc := range []struct {
+		name   string
+		mutate func(s lrustack.Stack) lrustack.Stack
+	}{
+		{"recency-perm-duplicated-nibble", func(s lrustack.Stack) lrustack.Stack { return s&^(0xF<<12) | (s&0xF)<<12 }},
+		{"recency-perm-wrong-nibble-moved", func(s lrustack.Stack) lrustack.Stack { return s&^0xFF | (s&0xF)<<4 | 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tl := newTLB(t, 4, 4)
+			va := mapPage(0xb00, mem.PAddr(0xc00<<mem.PageBits))
+			tl.Insert(va, table[0xb00], false)
+			set := tl.setOf(0xb00)
+			tl.stacks[set] = tc.mutate(tl.stacks[set])
+			if err := tl.CheckInvariants(resolve); err == nil || !strings.HasPrefix(err.Error(), "recency-perm:") {
+				t.Fatalf("CheckInvariants = %v", err)
+			}
+		})
+	}
 	t.Run("tlb-key-desync", func(t *testing.T) {
 		tl := newTLB(t, 4, 4)
 		va := mapPage(0x900, mem.PAddr(0xa00<<mem.PageBits))

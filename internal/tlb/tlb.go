@@ -8,7 +8,9 @@ package tlb
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/lrustack"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/stats"
@@ -31,6 +33,9 @@ func (c Config) Validate() error {
 	if c.Ways <= 0 {
 		return fmt.Errorf("tlb %s: ways %d must be positive", c.Name, c.Ways)
 	}
+	if c.Ways > lrustack.MaxWays {
+		return fmt.Errorf("tlb %s: ways %d exceeds the packed LRU stack's limit of %d", c.Name, c.Ways, lrustack.MaxWays)
+	}
 	return nil
 }
 
@@ -38,7 +43,7 @@ func (c Config) Validate() error {
 func (c Config) Entries() int { return c.Sets * c.Ways }
 
 // entry is one way's translation payload. Whether the way is valid and how
-// recently it was used live in the packed key and LRU rows beside it.
+// recently it was used live in the packed key row and the set's LRU stack.
 type entry struct {
 	vpn      uint64 // 4K VPN for 4K entries, 2M VPN for 2M entries
 	base     mem.PAddr
@@ -58,12 +63,12 @@ func packKey(vpn uint64, kind mem.PageSizeKind) uint64 {
 // TLB is one translation cache level.
 type TLB struct {
 	cfg Config
-	// entries, keys and lrus are parallel rows indexed by set*Ways+way: the
-	// payload, the packed (vpn, kind, valid) key, and the LRU stamp.
+	// entries and keys are parallel rows indexed by set*Ways+way: the
+	// payload and the packed (vpn, kind, valid) key. stacks holds one packed
+	// LRU order per set.
 	entries []entry
 	keys    []uint64
-	lrus    []uint64
-	clock   uint64
+	stacks  []lrustack.Stack
 	// Stats uses the shared cache-stats vocabulary: demand accesses/misses
 	// give MPKI and miss rate; prefetch fills/useful track pollution.
 	Stats *stats.CacheStats
@@ -81,11 +86,15 @@ func New(cfg Config) (*TLB, error) {
 		return nil, err
 	}
 	n := cfg.Entries()
+	stacks := make([]lrustack.Stack, cfg.Sets)
+	for i := range stacks {
+		stacks[i] = lrustack.New(cfg.Ways)
+	}
 	return &TLB{
 		cfg:     cfg,
 		entries: make([]entry, n),
 		keys:    make([]uint64, n),
-		lrus:    make([]uint64, n),
+		stacks:  stacks,
 		Stats:   &stats.CacheStats{},
 	}, nil
 }
@@ -93,27 +102,27 @@ func New(cfg Config) (*TLB, error) {
 // Config returns the configuration.
 func (t *TLB) Config() Config { return t.cfg }
 
-// setBase returns the row index of way 0 of the set vpn maps to.
-func (t *TLB) setBase(vpn uint64) int {
-	return int(vpn&uint64(t.cfg.Sets-1)) * t.cfg.Ways
-}
+// setOf returns the set vpn maps to.
+func (t *TLB) setOf(vpn uint64) int { return int(vpn & uint64(t.cfg.Sets-1)) }
 
-// find returns the row index of the entry translating va, checking both
-// page sizes, or -1.
-func (t *TLB) find(va mem.VAddr) int {
-	if i := t.findKey(va.PageID(), mem.Page4K); i >= 0 {
-		return i
+// find returns the set and way of the entry translating va, checking both
+// page sizes; way is -1 when neither is resident.
+func (t *TLB) find(va mem.VAddr) (set, way int) {
+	vpn := va.PageID()
+	if w := t.findKey(vpn, mem.Page4K); w >= 0 {
+		return t.setOf(vpn), w
 	}
-	return t.findKey(va.LargePageID(), mem.Page2M)
+	vpn = va.LargePageID()
+	return t.setOf(vpn), t.findKey(vpn, mem.Page2M)
 }
 
-// findKey returns the row index holding (vpn, kind), or -1. The scan runs
-// over the set's packed keys only.
+// findKey returns the way of vpn's set holding (vpn, kind), or -1. The scan
+// runs over the set's packed keys only.
 func (t *TLB) findKey(vpn uint64, kind mem.PageSizeKind) int {
-	base, want := t.setBase(vpn), packKey(vpn, kind)
+	base, want := t.setOf(vpn)*t.cfg.Ways, packKey(vpn, kind)
 	for i, k := range t.keys[base : base+t.cfg.Ways] {
 		if k == want {
-			return base + i
+			return i
 		}
 	}
 	return -1
@@ -126,10 +135,9 @@ func (t *TLB) Lookup(va mem.VAddr, demand bool) (vmem.Translation, bool) {
 	if demand {
 		t.Stats.DemandAccesses++
 	}
-	if i := t.find(va); i >= 0 {
-		e := &t.entries[i]
-		t.clock++
-		t.lrus[i] = t.clock
+	if set, way := t.find(va); way >= 0 {
+		e := &t.entries[set*t.cfg.Ways+way]
+		t.stacks[set].Touch(way)
 		if demand {
 			t.Stats.DemandHits++
 			if e.prefetch {
@@ -149,7 +157,10 @@ func (t *TLB) Lookup(va mem.VAddr, demand bool) (vmem.Translation, bool) {
 // Probe reports whether a translation is resident without touching LRU or
 // statistics. The Discard-PTW policy uses it to test TLB residency before
 // deciding whether a page-cross prefetch would trigger a walk.
-func (t *TLB) Probe(va mem.VAddr) bool { return t.find(va) >= 0 }
+func (t *TLB) Probe(va mem.VAddr) bool {
+	_, way := t.find(va)
+	return way >= 0
+}
 
 // Insert fills a translation. fromPrefetch marks fills caused by page-cross
 // prefetch walks so that TLB pollution is attributable.
@@ -171,21 +182,16 @@ func (t *TLB) insert(va mem.VAddr, tr vmem.Translation, fromPrefetch, quiet bool
 		vpn = va.LargePageID()
 	}
 	want := packKey(vpn, tr.Kind)
-	victim := t.findKey(vpn, tr.Kind) // refresh a resident entry in place
-	if victim < 0 {
-		var oldest uint64 = ^uint64(0)
-		base := t.setBase(vpn)
-		for i := base; i < base+t.cfg.Ways; i++ {
-			if t.keys[i] == 0 {
-				victim = i
-				break
-			}
-			if t.lrus[i] < oldest {
-				oldest = t.lrus[i]
-				victim = i
-			}
+	set := t.setOf(vpn)
+	base := set * t.cfg.Ways
+	way := t.findKey(vpn, tr.Kind) // refresh a resident entry in place
+	if way < 0 {
+		way = slices.Index(t.keys[base:base+t.cfg.Ways], 0) // first empty way
+		if way < 0 {
+			way = t.stacks[set].Victim(t.cfg.Ways)
 		}
 	}
+	victim := base + way
 	e := &t.entries[victim]
 	if !quiet && t.keys[victim] != 0 && t.keys[victim] != want {
 		t.Stats.Evictions++
@@ -193,7 +199,6 @@ func (t *TLB) insert(va mem.VAddr, tr vmem.Translation, fromPrefetch, quiet bool
 			t.Stats.UselessPrefetches++
 		}
 	}
-	t.clock++
 	frame := tr.Base
 	if !quiet {
 		t.inserts++
@@ -206,7 +211,7 @@ func (t *TLB) insert(va mem.VAddr, tr vmem.Translation, fromPrefetch, quiet bool
 	}
 	*e = entry{kind: tr.Kind, vpn: vpn, base: frame, prefetch: fromPrefetch}
 	t.keys[victim] = want
-	t.lrus[victim] = t.clock
+	t.stacks[set].Touch(way)
 	if !quiet && fromPrefetch {
 		t.Stats.PrefetchFills++
 	}
@@ -249,7 +254,8 @@ func (t *TLB) VisitEntries(fn func(Entry)) {
 //   - every valid entry translates a page the reference model has mapped;
 //   - the cached base and page-size kind match the reference translation
 //     (TLB entry ⇒ valid PTE);
-//   - no (VPN, kind) pair is cached twice.
+//   - no (VPN, kind) pair is cached twice;
+//   - each set's LRU stack is a permutation of its way ids.
 //
 // It returns the first violation found, nil when clean. resolve must be
 // side-effect free.
@@ -259,6 +265,11 @@ func (t *TLB) CheckInvariants(resolve func(mem.VAddr) (vmem.Translation, bool)) 
 	for i, k := range t.keys {
 		if e := &t.entries[i]; k != 0 && k != packKey(e.vpn, e.kind) {
 			return fmt.Errorf("tlb-key-desync: %s set %d way %d key %#x does not match entry key %#x", t.cfg.Name, i/t.cfg.Ways, i%t.cfg.Ways, k, packKey(e.vpn, e.kind))
+		}
+	}
+	for set, s := range t.stacks {
+		if err := s.Check(t.cfg.Ways); err != nil {
+			return fmt.Errorf("recency-perm: %s set %d: %v", t.cfg.Name, set, err)
 		}
 	}
 	seen := make(map[uint64]struct{}, t.cfg.Sets*t.cfg.Ways)

@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -26,6 +27,13 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Sets: 4, Ways: 0}); err == nil {
 		t.Fatal("zero ways accepted")
+	}
+	if _, err := New(Config{Sets: 4, Ways: 16}); err != nil {
+		t.Fatalf("16-way TLB rejected: %v", err)
+	}
+	// A set's LRU order is one word of sixteen 4-bit way ids.
+	if _, err := New(Config{Sets: 4, Ways: 17}); err == nil || !strings.Contains(err.Error(), "packed LRU stack") {
+		t.Fatalf("17-way TLB: err = %v, want the packed-stack limit", err)
 	}
 	if (Config{Sets: 16, Ways: 4}).Entries() != 64 {
 		t.Fatal("Entries wrong")

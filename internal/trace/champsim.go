@@ -150,9 +150,13 @@ func expandChampSim(dst []Instr, rec *ChampSimRecord, nextIP uint64) []Instr {
 type ChampSimReader struct {
 	open func() (io.ReadCloser, error)
 
-	rc      io.ReadCloser
-	br      *bufio.Reader
-	off     int64
+	rc  io.ReadCloser
+	br  *bufio.Reader
+	off int64
+	// raw holds the record being read. It lives in the reader because a
+	// local array would escape through io.ReadFull, one allocation per
+	// record.
+	raw     [ChampSimRecordSize]byte
 	ahead   ChampSimRecord
 	haveRec bool
 	pending []Instr
@@ -230,8 +234,7 @@ func (r *ChampSimReader) readRecord(out *ChampSimRecord) bool {
 	if r.err != nil {
 		return false
 	}
-	var buf [ChampSimRecordSize]byte
-	n, err := io.ReadFull(r.br, buf[:])
+	n, err := io.ReadFull(r.br, r.raw[:])
 	if err == io.EOF {
 		return false
 	}
@@ -241,7 +244,7 @@ func (r *ChampSimReader) readRecord(out *ChampSimRecord) bool {
 		return false
 	}
 	r.off += ChampSimRecordSize
-	*out = decodeChampSimRecord(&buf)
+	*out = decodeChampSimRecord(&r.raw)
 	return true
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -320,5 +321,34 @@ func TestChampSimStem(t *testing.T) {
 		if got := champSimStem(in); got != want {
 			t.Errorf("champSimStem(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestChampSimNextZeroAlloc pins the steady-state Next of a streaming
+// reader at zero heap allocations: each record decodes through a buffer the
+// reader owns, so nothing escapes per record.
+func TestChampSimNextZeroAlloc(t *testing.T) {
+	recs := make([]ChampSimRecord, 1000)
+	for i := range recs {
+		recs[i] = ChampSimRecord{IP: 0x400000 + 4*uint64(i), SrcMem: [4]uint64{0x1000 + 64*uint64(i)}}
+	}
+	var buf bytes.Buffer
+	if err := WriteChampSim(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	r := NewChampSimReader(func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(data)), nil })
+	defer r.Close()
+	for i := 0; i < 10; i++ { // open the source and size the expansion buffer
+		if _, ok := r.Next(); !ok {
+			t.Fatal("trace ended early")
+		}
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		if _, ok := r.Next(); !ok {
+			t.Fatal("trace ended early")
+		}
+	}); n != 0 {
+		t.Fatalf("%v allocs per Next, want 0", n)
 	}
 }
