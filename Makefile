@@ -62,8 +62,8 @@ daemon-e2e:
 	bash scripts/pgcd_e2e.sh
 
 # golden re-records the golden fingerprints after a deliberate behavioural
-# change — full-detail snapshots, sampled-mode snapshots, and the
-# sampled-vs-full error table (whose accuracy gates still apply while
+# change — full-detail snapshots, sampled-mode snapshots, multi-core mix
+# snapshots, and the sampled-vs-full error table (whose accuracy gates still apply while
 # recording); review the diff before committing.
 golden:
 	$(GO) test ./internal/sim -run TestGolden -update

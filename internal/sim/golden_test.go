@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -193,5 +197,98 @@ func TestGeneratorDeterminism(t *testing.T) {
 		if same {
 			t.Fatalf("%s and %s produced identical streams; the unseen salt is not applied", pair[0], pair[1])
 		}
+	}
+}
+
+// goldenMixes are small multi-core mixes that together cover the shared-LLC
+// machine's modes: full-detail DRIPPER, Permit with the invariant checker
+// sweeping every core, and functional (sampled) warmup ahead of a detailed
+// measured phase.
+var goldenMixes = []struct {
+	name      string
+	workloads []string
+	set       func(*MultiConfig)
+}{
+	{"dripper2", []string{"spec.stream_s00", "spec.pagehop_s00"}, func(mc *MultiConfig) {
+		mc.PerCore.Policy = PolicyDripper
+	}},
+	{"permit4-check", []string{"spec.stream_s00", "spec.pagehop_s00", "gap.graph_s00", "qmm_int.qmm_s00"}, func(mc *MultiConfig) {
+		mc.PerCore.Policy = PolicyPermit
+		mc.PerCore.Check.Enabled = true
+	}},
+	{"sampled-warmup2", []string{"spec.stream_s00", "gap.graph_s00"}, func(mc *MultiConfig) {
+		mc.PerCore.Policy = PolicyDripper
+		mc.PerCore.Sample = SampleConfig{Enabled: true}
+	}},
+}
+
+// mixSnapshot fingerprints a finished mix as one snapshot: every core's
+// registry under "c<i>.", the statistics RunMix returned for it under
+// "c<i>.run.", and the shared LLC and DRAM under "llc." and "dram.".
+func mixSnapshot(m *MultiSystem, runs []*stats.Run) metrics.Snapshot {
+	shared := metrics.NewRegistry()
+	m.LLC.RegisterMetrics(shared, "llc")
+	m.DRAM.RegisterMetrics(shared, "dram")
+	out := shared.Snapshot()
+	for i, sys := range m.Systems {
+		prefix := fmt.Sprintf("c%d.", i)
+		for _, e := range sys.Snapshot().Metrics {
+			e.Name = prefix + e.Name
+			out.Metrics = append(out.Metrics, e)
+		}
+		out.Metrics = appendFields(out.Metrics, prefix+"run.", reflect.ValueOf(*runs[i]))
+	}
+	sort.Slice(out.Metrics, func(a, b int) bool { return out.Metrics[a].Name < out.Metrics[b].Name })
+	return out
+}
+
+// appendFields appends every uint64 field of the struct v, recursively, as
+// a counter named prefix + the field path.
+func appendFields(out []metrics.Metric, prefix string, v reflect.Value) []metrics.Metric {
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), prefix+v.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.Struct:
+			out = appendFields(out, name+".", f)
+		case reflect.Uint64:
+			out = append(out, metrics.Metric{Name: name, Kind: metrics.KindCounter, Value: f.Uint()})
+		}
+	}
+	return out
+}
+
+// TestGoldenMulticore pins the multi-core path the way TestGoldenSnapshots
+// pins the single-core one: per-core registries, the per-core results and
+// the shared levels of each golden mix, re-recorded with -update.
+func TestGoldenMulticore(t *testing.T) {
+	for _, gm := range goldenMixes {
+		t.Run(gm.name, func(t *testing.T) {
+			mc := DefaultMultiConfig()
+			mc.Cores = len(gm.workloads)
+			mc.PerCore.WarmupInstrs = 10_000
+			mc.PerCore.SimInstrs = 20_000
+			gm.set(&mc)
+			m, err := NewMulti(mc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mix []trace.Workload
+			for _, n := range gm.workloads {
+				w, ok := trace.ByName(n)
+				if !ok {
+					t.Fatalf("workload %s missing", n)
+				}
+				mix = append(mix, w)
+			}
+			runs, err := m.RunMix(context.Background(), mix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := mixSnapshot(m, runs).WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			compareGolden(t, filepath.Join("testdata", "golden", "multicore", gm.name+".json"), buf.Bytes())
+		})
 	}
 }
