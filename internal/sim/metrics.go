@@ -10,9 +10,9 @@ import (
 // prefix, and the sim layer adds the cross-component gauges (cycle-aware
 // MSHR/walk occupancy) and the prefetch-path accounting it alone can see.
 //
-// ownLLC/ownDRAM are false for cores of a multi-core system, whose shared
-// LLC and DRAM belong to the machine, not to any one core's registry.
-func (s *System) registerMetrics(ownLLC, ownDRAM bool) {
+// private is false for cores of a multi-core system, whose shared LLC and
+// DRAM belong to the machine, not to any one core's registry.
+func (s *System) registerMetrics(private bool) {
 	r := metrics.NewRegistry()
 	s.Metrics = r
 
@@ -20,10 +20,8 @@ func (s *System) registerMetrics(ownLLC, ownDRAM bool) {
 	s.L1I.RegisterMetrics(r, "l1i")
 	s.L1D.RegisterMetrics(r, "l1d")
 	s.L2C.RegisterMetrics(r, "l2c")
-	if ownLLC {
+	if private {
 		s.LLC.RegisterMetrics(r, "llc")
-	}
-	if ownDRAM {
 		s.DRAM.RegisterMetrics(r, "dram")
 	}
 	s.MMU.RegisterMetrics(r)

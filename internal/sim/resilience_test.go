@@ -139,6 +139,49 @@ func TestInjectedMemLatencyDegradesIPC(t *testing.T) {
 	if degraded.IPC() >= base.IPC() {
 		t.Fatalf("injected DRAM latency did not hurt IPC: %.4f vs %.4f", degraded.IPC(), base.IPC())
 	}
+
+	// The shared DRAM of a mix is built by the same constructor, so the
+	// injected latency must reach it too.
+	mixIPC := func(cfg Config) float64 {
+		t.Helper()
+		mc := DefaultMultiConfig()
+		mc.Cores = 2
+		mc.PerCore = cfg
+		mc.PerCore.Core.ReplayOnEnd = true
+		m, err := NewMulti(mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, err := m.RunMix(context.Background(), []trace.Workload{w, w})
+		if err != nil {
+			t.Fatalf("mix must still terminate: %v", err)
+		}
+		return runs[0].IPC()
+	}
+	if b, d := mixIPC(cfg), mixIPC(slow); d >= b {
+		t.Fatalf("injected DRAM latency did not hurt the mix's IPC: %.4f vs %.4f", d, b)
+	}
+}
+
+// TestRunMixInjectedTransientFailureIsRetryable: a mix is one run attempt,
+// like a single-core run, so FailAttempts fails it with a retryable error
+// and the retry succeeds.
+func TestRunMixInjectedTransientFailureIsRetryable(t *testing.T) {
+	mc := DefaultMultiConfig()
+	mc.Cores = 2
+	w := testWorkload(t, &mc.PerCore)
+	mc.PerCore.FaultInject = faultinject.New(faultinject.Config{FailAttempts: 1})
+	m, err := NewMulti(mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.RunMix(context.Background(), []trace.Workload{w, w})
+	if err == nil || !Retryable(err) {
+		t.Fatalf("first attempt: err = %v, want a retryable error", err)
+	}
+	if _, err := m.RunMix(context.Background(), []trace.Workload{w, w}); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
 }
 
 func TestRunMixCancellation(t *testing.T) {
@@ -182,8 +225,58 @@ func TestRunMixWatchdogCatchesStall(t *testing.T) {
 	if !errors.As(err, &stall) {
 		t.Fatalf("want StallError, got %v", err)
 	}
-	if stall.Reason != StallNoRetire {
-		t.Fatalf("reason = %s", stall.Reason)
+	if stall.Reason != StallNoRetire || stall.Bound != 50_000 {
+		t.Fatalf("stall = %+v, want no-retire bound 50000", stall)
+	}
+	// The snapshot is of a stuck core: nothing retired for the bound, and
+	// the ROB holds the blocked instructions.
+	s := stall.Snap
+	if s.Retired < 4_000 {
+		t.Fatalf("snapshot not populated: %s", s)
+	}
+	if s.Cycle-s.LastRetireCycle <= 50_000 {
+		t.Fatalf("abort before the bound elapsed: %s", s)
+	}
+	if s.ROBOccupancy == 0 {
+		t.Fatalf("stalled ROB should be occupied: %s", s)
+	}
+}
+
+func TestRunMixWatchdogCycleCeiling(t *testing.T) {
+	mc := DefaultMultiConfig()
+	mc.Cores = 2
+	mc.PerCore.WarmupInstrs = 0
+	mc.PerCore.SimInstrs = 100_000_000 // far beyond the ceiling
+	mc.PerCore.Watchdog = WatchdogConfig{MaxCycles: 20_000, PollEvery: 1_024}
+	m, err := NewMulti(mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.RunMix(context.Background(), []trace.Workload{trace.Seen()[0], trace.Seen()[1]})
+	var stall *StallError
+	if !errors.As(err, &stall) {
+		t.Fatalf("want StallError, got %v", err)
+	}
+	if stall.Reason != StallCycleCeiling || stall.Bound != 20_000 {
+		t.Fatalf("stall = %+v, want cycle-ceiling bound 20000", stall)
+	}
+	if s := stall.Snap; s.Cycle <= 20_000 || s.Retired == 0 {
+		t.Fatalf("snapshot should be of a core past the ceiling: %s", s)
+	}
+
+	// The ceiling counts per phase, as on one core: warmup (~23k cycles)
+	// and measure (~28k) each fit under 40k although together they do not.
+	mc.PerCore.WarmupInstrs = 20_000
+	mc.PerCore.SimInstrs = 20_000
+	mc.PerCore.Watchdog.MaxCycles = 40_000
+	if m, err = NewMulti(mc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RunMix(context.Background(), []trace.Workload{trace.Seen()[0], trace.Seen()[1]}); err != nil {
+		t.Fatalf("phases under the ceiling aborted: %v", err)
+	}
+	if c := m.Systems[0].Core.Cycle(); c <= 40_000 {
+		t.Fatalf("mix ran %d cycles in all; the case needs more than the ceiling", c)
 	}
 }
 

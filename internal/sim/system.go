@@ -126,8 +126,8 @@ type WatchdogConfig struct {
 	// MSHR-saturated DRAM-bound phase retires within a few thousand
 	// cycles, so the default has orders-of-magnitude headroom.
 	NoRetireBound uint64
-	// MaxCycles aborts the run when it exceeds this many cycles from the
-	// start of the current Run call; 0 means unlimited.
+	// MaxCycles aborts the run when one phase (warmup or measure, on one
+	// core or a mix) exceeds this many cycles; 0 means unlimited.
 	MaxCycles uint64
 	// PollEvery is the cycle grain at which cancellation and progress are
 	// checked; 0 selects DefaultPollEvery. Checks are O(1), so the poll
@@ -264,30 +264,39 @@ type epochCounters struct {
 	pgcUseful, pgcUseless uint64
 }
 
-// New builds a system. sharedLLC and sharedDRAM may be nil (private) or
-// provided by the multi-core wrapper.
+// New builds a system with a private LLC and DRAM.
 func New(cfg Config) (*System, error) {
-	return newSystem(cfg, nil, nil)
+	llc, d, err := newMemory(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return newSystem(cfg, llc, d, true)
 }
 
-func newSystem(cfg Config, sharedLLC *cache.Cache, sharedDRAM *dram.DRAM) (*System, error) {
-	s := &System{cfg: cfg}
+// newMemory builds the DRAM and the LLC above it, with the fault injector's
+// latency wrapper between them: a single core's private pair, or the pair a
+// multi-core machine shares.
+func newMemory(cfg Config) (*cache.Cache, *dram.DRAM, error) {
+	d, err := dram.New(cfg.DRAM)
+	if err != nil {
+		return nil, nil, err
+	}
+	llc, err := cache.New(cfg.LLC, cfg.FaultInject.WrapLevel(d))
+	if err != nil {
+		return nil, nil, err
+	}
+	return llc, d, nil
+}
+
+// newSystem builds one core's machine above llc and d; private is false
+// for the cores of a multi-core system, which share them.
+func newSystem(cfg Config, llc *cache.Cache, d *dram.DRAM, private bool) (*System, error) {
+	s := &System{cfg: cfg, LLC: llc, DRAM: d}
 
 	var err error
 	if s.AS, err = vmem.New(cfg.VMem); err != nil {
 		return nil, err
 	}
-	if sharedDRAM != nil {
-		s.DRAM = sharedDRAM
-	} else if s.DRAM, err = dram.New(cfg.DRAM); err != nil {
-		return nil, err
-	}
-	if sharedLLC != nil {
-		s.LLC = sharedLLC
-	} else if s.LLC, err = cache.New(cfg.LLC, cfg.FaultInject.WrapLevel(s.DRAM)); err != nil {
-		return nil, err
-	}
-
 	if s.L2C, err = cache.New(cfg.L2C, s.LLC); err != nil {
 		return nil, err
 	}
@@ -380,7 +389,7 @@ func newSystem(cfg Config, sharedLLC *cache.Cache, sharedDRAM *dram.DRAM) (*Syst
 			return nil, err
 		}
 	}
-	s.registerMetrics(sharedLLC == nil, sharedDRAM == nil)
+	s.registerMetrics(private)
 	return s, nil
 }
 
@@ -676,39 +685,102 @@ func (s *System) collectInto(r *stats.Run, name, suite string) {
 }
 
 // Run drives the core until its attached budget retires, honouring ctx and
-// the configured watchdog. Cancellation and progress are checked every
-// WatchdogConfig.PollEvery cycles, so teardown latency is bounded by the
-// poll grain, not the instruction budget. It returns nil on completion,
-// ctx.Err() on cancellation, or a *StallError when a bound trips.
+// the configured watchdog; see drive, which it calls with one core and a
+// quantum of one poll interval. It returns nil on completion, ctx.Err() on
+// cancellation, a *StallError when a bound trips, or the invariant
+// checker's error.
 func (s *System) Run(ctx context.Context) error {
 	wd := s.cfg.Watchdog.withDefaults()
-	start := s.Core.Cycle()
-	for !s.Core.StepCycles(wd.PollEvery) {
-		if err := ctx.Err(); err != nil {
-			return err
+	return drive(ctx, []*System{s}, wd.PollEvery, wd, nil)
+}
+
+// drive is the one stepping loop of single- and multi-core runs. It steps
+// cores round-robin, quantum cycles at a time, until none is left running.
+// onDone, when non-nil, is called for each core found done at its turn,
+// before that core would be stepped: it can collect the core's statistics
+// and re-attach it, and returns true to end the drive.
+//
+// Every PollEvery cycles (every sweep when quantum is larger) the driver
+// checks ctx, runs each core's invariant sweep and applies one watchdog
+// rule: abort when no running core has retired for NoRetireBound cycles, or
+// when this call has run MaxCycles cycles. Cancellation is therefore seen
+// within one poll interval. When the drive ends, a final invariant sweep
+// surfaces any violation the run accumulated.
+func drive(ctx context.Context, cores []*System, quantum uint64, wd WatchdogConfig, onDone func(i int) (stop bool)) error {
+	pollSweeps := max(1, wd.PollEvery/quantum)
+	for sweeps := uint64(1); ; sweeps++ {
+		stepped := false
+		for i, c := range cores {
+			if onDone != nil && c.Core.Done() && onDone(i) {
+				return finalChecks(cores)
+			}
+			if !c.Core.Done() {
+				stepped = true
+				c.Core.StepCycles(quantum)
+			}
 		}
-		if s.checker != nil {
-			s.runChecks(s.Core.Cycle())
+		if !stepped {
+			return finalChecks(cores)
 		}
-		if wd.Disable {
-			continue
-		}
-		cycle := s.Core.Cycle()
-		if last := s.Core.LastRetireCycle(); cycle-last > wd.NoRetireBound {
-			s.Tracer.Emit(cycle, metrics.EvStallSnapshot, s.Core.RetiredTotal(), last)
-			return &StallError{Reason: StallNoRetire, Bound: wd.NoRetireBound, Snap: s.StallSnapshot()}
-		}
-		if wd.MaxCycles > 0 && cycle-start > wd.MaxCycles {
-			s.Tracer.Emit(cycle, metrics.EvStallSnapshot, s.Core.RetiredTotal(), s.Core.LastRetireCycle())
-			return &StallError{Reason: StallCycleCeiling, Bound: wd.MaxCycles, Snap: s.StallSnapshot()}
+		if sweeps%pollSweeps == 0 {
+			if err := poll(ctx, cores, wd, sweeps*quantum); err != nil {
+				return err
+			}
 		}
 	}
-	if s.checker != nil {
-		// Final sweep at the run boundary, then surface anything the run
-		// accumulated (FailFast runs never reach here with violations —
-		// they panic at the poll boundary that observed them).
-		s.runChecks(s.Core.Cycle())
-		if err := s.checker.Err(); err != nil {
+}
+
+// poll is drive's periodic check. elapsed is sweeps × quantum, the cycles
+// run in this call by any core that has been running since it began.
+func poll(ctx context.Context, cores []*System, wd WatchdogConfig, elapsed uint64) error {
+	var live *System // the first running core, which a stall error snapshots
+	idle := true
+	for _, c := range cores {
+		if c.Core.Done() {
+			continue
+		}
+		if live == nil {
+			live = c
+		}
+		idle = idle && c.Core.Cycle()-c.Core.LastRetireCycle() > wd.NoRetireBound
+	}
+	if live == nil {
+		return nil // every core finished in this sweep
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for _, c := range cores {
+		if c.checker != nil {
+			c.runChecks(c.Core.Cycle())
+		}
+	}
+	switch {
+	case wd.Disable:
+	case idle:
+		return live.stall(StallNoRetire, wd.NoRetireBound)
+	case wd.MaxCycles > 0 && elapsed > wd.MaxCycles:
+		return live.stall(StallCycleCeiling, wd.MaxCycles)
+	}
+	return nil
+}
+
+// stall traces and returns the watchdog error for a bound s tripped.
+func (s *System) stall(reason StallReason, bound uint64) *StallError {
+	s.Tracer.Emit(s.Core.Cycle(), metrics.EvStallSnapshot, s.Core.RetiredTotal(), s.Core.LastRetireCycle())
+	return &StallError{Reason: reason, Bound: bound, Snap: s.StallSnapshot()}
+}
+
+// finalChecks runs every checked core's sweep at the end of a drive, then
+// surfaces the first core's accumulated violations (FailFast runs never
+// reach here with violations: they panic at the poll that observed them).
+func finalChecks(cores []*System) error {
+	for _, c := range cores {
+		if c.checker == nil {
+			continue
+		}
+		c.runChecks(c.Core.Cycle())
+		if err := c.checker.Err(); err != nil {
 			return err
 		}
 	}
