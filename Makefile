@@ -82,8 +82,9 @@ diff:
 	$(GO) test ./internal/sim -run 'Check|Shrink|Injected' -v
 	$(GO) test -race ./internal/sim -run TestRaceMulticoreDifferential -v
 
-# fuzz gives each differential fuzz target a bounded budget; counterexamples
-# are shrunk and written under internal/sim/testdata/repro/.
+# fuzz gives each fuzz target CI runs the same bounded budget; the sim
+# targets' counterexamples are shrunk and written under
+# internal/sim/testdata/repro/.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzSimVsOracle -fuzztime $(FUZZTIME)
@@ -91,7 +92,10 @@ fuzz:
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzSampledVsFull -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wdl -run '^$$' -fuzz FuzzWDLParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wdl -run '^$$' -fuzz FuzzWDLRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzMSHRFile -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzUpdateBuffer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lrustack -run '^$$' -fuzz FuzzLRUStack -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tlb -run '^$$' -fuzz FuzzTLB -fuzztime $(FUZZTIME)
 
 # check is the CI gate: vet, build, and the full suite under the race
 # detector (the resilience tests exercise the worker pool concurrently).

@@ -265,23 +265,27 @@ func log2(x int) int {
 	return n
 }
 
-// findWay scans the packed tag row of one set and returns the way holding
-// tag, or -1.
-func (c *Cache) findWay(si, tag uint64) int {
-	base := si * uint64(c.cfg.Ways)
+// scan makes one pass over the tag row starting at row index base and
+// returns the way holding tag (-1 if none) and, when no way holds it, the
+// first empty way (-1 if none).
+func (c *Cache) scan(base, tag uint64) (hit, empty int) {
+	empty = -1
 	for i, k := range c.tags[base : base+uint64(c.cfg.Ways)] {
 		if k == tag {
-			return i
+			return i, -1
+		}
+		if k == invalidTag && empty < 0 {
+			empty = i
 		}
 	}
-	return -1
+	return -1, empty
 }
 
 // lookup returns the row index of the way holding pa, or -1.
 func (c *Cache) lookup(pa mem.PAddr) int {
-	si := c.setIndex(pa)
-	if wi := c.findWay(si, c.tag(pa)); wi >= 0 {
-		return int(si)*c.cfg.Ways + wi
+	base := c.setIndex(pa) * uint64(c.cfg.Ways)
+	if wi, _ := c.scan(base, c.tag(pa)); wi >= 0 {
+		return int(base) + wi
 	}
 	return -1
 }
@@ -329,11 +333,17 @@ func (c *Cache) access(req *Request, cycle uint64) uint64 {
 	// prefetch issued at walk-completion time must not serve (or delay) a
 	// demand that arrives before it physically existed. Such a demand
 	// misses and fetches independently; the overtaken prefetch is wasted.
-	hitSI := c.setIndex(req.PA)
-	if wi := c.findWay(hitSI, c.tag(req.PA)); wi >= 0 {
-		i := hitSI*uint64(c.cfg.Ways) + uint64(wi)
+	//
+	// One pass over the set's tag row finds the way holding the line and
+	// the first empty way; a miss's fill reuses both instead of scanning
+	// the row again.
+	si, tag := c.setIndex(req.PA), c.tag(req.PA)
+	base := si * uint64(c.cfg.Ways)
+	wi, empty := c.scan(base, tag)
+	if wi >= 0 {
+		i := base + uint64(wi)
 		if t := c.when(i); cycle >= t.issue {
-			c.touch(hitSI, wi)
+			c.touch(si, wi)
 			ready := cycle + c.cfg.Latency
 			merged := t.ready > ready
 			if merged {
@@ -371,8 +381,8 @@ func (c *Cache) access(req *Request, cycle uint64) uint64 {
 		if demand {
 			c.Stats.DemandMisses++
 			fl.demandMerge = true
-			if i := c.lookup(req.PA); i >= 0 {
-				c.serveDemand(req, uint64(i))
+			if wi >= 0 {
+				c.serveDemand(req, base+uint64(wi))
 			}
 		} else if req.Type == mem.Prefetch {
 			c.Stats.PrefetchHits++
@@ -426,7 +436,19 @@ func (c *Cache) access(req *Request, cycle uint64) uint64 {
 	if demand && ready > cycle {
 		c.missLatEWMA = (c.missLatEWMA*7 + (ready - cycle)) / 8
 	}
-	c.fill(req, &fl, issue, ready)
+	// Nothing writes this cache's tag row between the scan above and the
+	// fill, so wi and empty still describe the set: the hierarchy is
+	// non-inclusive, so no lower level (nor the simulator's L2 adapter and
+	// the L2C prefetches it issues) reaches back up; OnDemandMiss only
+	// trains the page-cross filter; the MSHR sweep touches the MSHR file
+	// alone.
+	if wi < 0 {
+		wi = empty
+		if wi < 0 {
+			wi = c.victimFull(si)
+		}
+	}
+	c.fill(req, &fl, si, wi, tag, issue, ready)
 	return ready
 }
 
@@ -460,19 +482,6 @@ func (c *Cache) touch(si uint64, wi int) {
 	default: // LRU
 		c.stacks[si].Touch(wi)
 	}
-}
-
-// victimIn picks the way to replace in set si, per the configured policy.
-// Validity comes from the packed tag row (invalidTag marks empty ways).
-func (c *Cache) victimIn(si uint64) int {
-	ways := uint64(c.cfg.Ways)
-	keys := c.tags[si*ways : si*ways+ways]
-	for i, k := range keys {
-		if k == invalidTag {
-			return i
-		}
-	}
-	return c.victimFull(si)
 }
 
 // victimFull picks the replacement victim in set si assuming every way is
@@ -518,17 +527,12 @@ func (c *Cache) install(si uint64, wi int, tag uint64, st uint8) {
 	c.state[i] = st
 }
 
-// fill installs the line, evicting a victim if needed. When the same line
-// is already resident (a demand overtook a not-yet-issued prefetch, or vice
-// versa), the existing block is replaced in place so a set never holds two
-// copies of one tag.
-func (c *Cache) fill(req *Request, fl *mshr, issue, ready uint64) {
-	si := c.setIndex(req.PA)
-	tag := c.tag(req.PA)
-	wi := c.findWay(si, tag)
-	if wi < 0 {
-		wi = c.victimIn(si)
-	}
+// fill installs the line into way wi of set si, evicting its block if the
+// way is valid. The caller passes the way already holding the line when
+// there is one (a demand overtook a not-yet-issued prefetch, or vice versa),
+// so the block is replaced in place and a set never holds two copies of one
+// tag; otherwise the first empty way or the policy's victim.
+func (c *Cache) fill(req *Request, fl *mshr, si uint64, wi int, tag, issue, ready uint64) {
 	i := si*uint64(c.cfg.Ways) + uint64(wi)
 	if c.tags[i] != invalidTag {
 		c.evict(si, i)
@@ -716,18 +720,13 @@ func (c *Cache) Warm(pa mem.PAddr, store bool) {
 	// (the gap's new working set), so saving the second row traversal per
 	// level is a measurable share of functional-warmup time.
 	base := si * uint64(c.cfg.Ways)
-	inv := -1
-	for i, k := range c.tags[base : base+uint64(c.cfg.Ways)] {
-		if k == tag {
-			c.touch(si, i)
-			c.state[base+uint64(i)] |= st
-			return
-		}
-		if k == invalidTag && inv < 0 {
-			inv = i
-		}
+	wi, empty := c.scan(base, tag)
+	if wi >= 0 {
+		c.touch(si, wi)
+		c.state[base+uint64(wi)] |= st
+		return
 	}
-	wi := inv
+	wi = empty
 	if wi < 0 {
 		wi = c.victimFull(si)
 		if v := base + uint64(wi); c.state[v]&stDirty != 0 && c.lowerWarm != nil {

@@ -97,6 +97,21 @@ func TestHitWaitsForInflightFill(t *testing.T) {
 	}
 }
 
+// TestOvertakenFillRefillsInPlace sends a demand to a line whose prefetch
+// fill was issued later than the demand's cycle. The demand cannot see that
+// block and misses; its fill must replace the block in its own way (one
+// eviction: the wasted prefetch) and leave the set's other way empty.
+func TestOvertakenFillRefillsInPlace(t *testing.T) {
+	c := smallCache(t, &fakeLower{latency: 100})
+	c.Access(&Request{PA: 0x1000, Type: mem.Prefetch}, 200) // set 0, way 0
+	c.Access(load(0x1000), 50)
+	checkAfter(t, c, 50, "")
+	c.Access(load(0x2000), 60) // set 0 again: takes the empty way
+	if c.Stats.Evictions != 1 || c.Stats.UselessPrefetches != 1 || !c.Contains(0x1000) {
+		t.Fatalf("the overtaken line was not refilled in place: %+v", c.Stats)
+	}
+}
+
 func TestLRUReplacement(t *testing.T) {
 	lower := &fakeLower{latency: 10}
 	c := smallCache(t, lower) // 4 sets → same set every 4 lines (256B stride)

@@ -82,7 +82,9 @@ type Core struct {
 	cfg   Config
 	ports Ports
 
-	rob   []uint64 // completion cycles, ring buffer
+	// rob is a ring of completion cycles. ROBSize (352 by default) is not
+	// a power of two, so head and tail wrap by comparison, not modulo.
+	rob   []uint64
 	robPC []uint64 // dispatching PC per ROB entry (watchdog diagnostics)
 	head  int
 	count int
@@ -286,7 +288,9 @@ func (c *Core) step() {
 		if c.rob[c.head] > cyc {
 			break
 		}
-		c.head = (c.head + 1) % c.cfg.ROBSize
+		if c.head++; c.head == c.cfg.ROBSize {
+			c.head = 0
+		}
 		c.count--
 		retired++
 		c.budget--
@@ -348,7 +352,10 @@ func (c *Core) step() {
 		default:
 			done = cyc + c.cfg.ExecLatency
 		}
-		tail := (c.head + c.count) % c.cfg.ROBSize
+		tail := c.head + c.count
+		if tail >= c.cfg.ROBSize {
+			tail -= c.cfg.ROBSize
+		}
 		c.rob[tail] = done
 		c.robPC[tail] = in.PC
 		c.count++

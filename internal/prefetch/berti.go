@@ -33,17 +33,16 @@ type bertiHistEntry struct {
 	valid bool
 }
 
-type bertiDelta struct {
-	delta int64
-	conf  int
-	valid bool
-}
-
 type bertiIPEntry struct {
 	tag     uint64
 	hist    [bertiHistoryLen]bertiHistEntry
 	histPos int
-	deltas  [bertiDeltasPerIP]bertiDelta
+	// delta and conf are the entry's delta table as two hardware rows:
+	// slot j tracks line delta delta[j] with coverage counter conf[j]. A
+	// zero delta marks an empty slot (Train never records delta 0), and an
+	// empty slot's counter stays 0, below the issue threshold.
+	delta [bertiDeltasPerIP]int16
+	conf  [bertiDeltasPerIP]uint8
 }
 
 // Berti is the local-delta prefetcher.
@@ -111,7 +110,7 @@ func (b *Berti) Train(a Access) []Candidate {
 		if d == 0 || d > bertiMaxDelta || d < -bertiMaxDelta {
 			continue
 		}
-		b.bumpDelta(e, d)
+		b.bumpDelta(e, int16(d))
 	}
 
 	// Record the access.
@@ -121,8 +120,8 @@ func (b *Berti) Train(a Access) []Candidate {
 	// Periodic decay keeps confidence adaptive across phases.
 	if b.accesses%bertiDecayPeriod == 0 {
 		for t := range b.table {
-			for j := range b.table[t].deltas {
-				b.table[t].deltas[j].conf /= 2
+			for j := range b.table[t].conf {
+				b.table[t].conf[j] /= 2
 			}
 		}
 	}
@@ -134,19 +133,18 @@ func (b *Berti) Train(a Access) []Candidate {
 // degree most confident deltas at or above the issue threshold, higher
 // confidence first and ties to the lower slot, stopping at the first target
 // below address zero. One pass selects them, since bumpDelta keeps an
-// entry's valid deltas distinct.
+// entry's valid deltas distinct. Empty slots hold confidence 0, so the
+// threshold alone skips them.
 func (b *Berti) issue(e *bertiIPEntry, line int64) []Candidate {
 	// top holds the selected slots, best first, and topConf their
 	// confidences: an insertion sort bounded by the degree.
 	var top [bertiDeltasPerIP]int8
-	var topConf [bertiDeltasPerIP]int32
+	var topConf [bertiDeltasPerIP]uint8
 	n, k := 0, min(b.degree, bertiDeltasPerIP)
-	for j := range e.deltas {
-		d := &e.deltas[j]
-		if !d.valid || d.conf < bertiIssueConf {
+	for j, c := range e.conf {
+		if c < bertiIssueConf {
 			continue
 		}
-		c := int32(d.conf)
 		if n == k {
 			if n == 0 || topConf[n-1] >= c {
 				continue
@@ -162,40 +160,39 @@ func (b *Berti) issue(e *bertiIPEntry, line int64) []Candidate {
 	}
 	out := b.buf[:0]
 	for _, j := range top[:n] {
-		d := &e.deltas[j]
-		t, ok := targetOf(line + d.delta)
+		d := int64(e.delta[j])
+		t, ok := targetOf(line + d)
 		if !ok {
 			break
 		}
-		out = append(out, Candidate{Target: t, Delta: d.delta, Meta: uint64(d.conf)})
+		out = append(out, Candidate{Target: t, Delta: d, Meta: uint64(e.conf[j])})
 	}
 	b.buf = out
 	return out
 }
 
-func (b *Berti) bumpDelta(e *bertiIPEntry, d int64) {
-	var victim *bertiDelta
-	minConf := int(^uint(0) >> 1)
-	for j := range e.deltas {
-		s := &e.deltas[j]
-		if s.valid && s.delta == d {
-			if s.conf < bertiConfMax {
-				s.conf++
+// bumpDelta credits delta d (non-zero) in entry e: a tracked delta gains
+// confidence up to saturation; an untracked one takes the last empty slot,
+// else replaces the first least-confident slot if that one is below the
+// issue threshold.
+func (b *Berti) bumpDelta(e *bertiIPEntry, d int16) {
+	victim, minConf := 0, bertiConfMax+1 // every counter is below the start
+	for j, s := range e.delta {
+		if s == d {
+			if e.conf[j] < bertiConfMax {
+				e.conf[j]++
 			}
 			return
 		}
-		if !s.valid {
-			victim = s
-			minConf = -1
+		if s == 0 {
+			victim, minConf = j, -1
 			continue
 		}
-		if s.conf < minConf {
-			victim = s
-			minConf = s.conf
+		if c := int(e.conf[j]); c < minConf {
+			victim, minConf = j, c
 		}
 	}
-	// Replace the weakest candidate only if it has low confidence.
-	if victim != nil && minConf < bertiIssueConf {
-		*victim = bertiDelta{delta: d, conf: 1, valid: true}
+	if minConf < bertiIssueConf {
+		e.delta[victim], e.conf[victim] = d, 1
 	}
 }

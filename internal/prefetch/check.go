@@ -4,8 +4,9 @@ import "fmt"
 
 // CheckInvariants verifies the metadata bounds of a prefetch engine: FDP
 // aggressiveness within its ladder, BOP round state within its scoring
-// bounds, Berti confidence counters within their saturation range and each
-// Berti entry's valid deltas distinct, which its issue selection relies on.
+// bounds, Berti confidence counters within their saturation range, each
+// Berti entry's valid deltas distinct and its empty slots at confidence 0,
+// which its issue selection relies on.
 // Engines without checkable metadata pass trivially. Returns the first
 // violation, nil when clean.
 func CheckInvariants(p Prefetcher) error {
@@ -34,20 +35,23 @@ func CheckInvariants(p Prefetcher) error {
 			if ent.histPos < 0 || ent.histPos >= bertiHistoryLen {
 				return fmt.Errorf("berti-hist-pos: entry %d history position %d outside [0,%d)", t, ent.histPos, bertiHistoryLen)
 			}
-			for j := range ent.deltas {
-				d := &ent.deltas[j]
-				if !d.valid {
+			for j, d := range ent.delta {
+				c := ent.conf[j]
+				if d == 0 {
+					if c != 0 {
+						return fmt.Errorf("berti-empty-conf: entry %d slot %d is empty but holds confidence %d", t, j, c)
+					}
 					continue
 				}
-				if d.conf < 0 || d.conf > bertiConfMax {
-					return fmt.Errorf("berti-conf-bounds: entry %d delta %d confidence %d outside [0,%d]", t, d.delta, d.conf, bertiConfMax)
+				if c > bertiConfMax {
+					return fmt.Errorf("berti-conf-bounds: entry %d delta %d confidence %d outside [0,%d]", t, d, c, bertiConfMax)
 				}
-				if d.delta == 0 || d.delta > bertiMaxDelta || d.delta < -bertiMaxDelta {
-					return fmt.Errorf("berti-delta-bounds: entry %d tracks delta %d outside ±%d", t, d.delta, bertiMaxDelta)
+				if d > bertiMaxDelta || d < -bertiMaxDelta {
+					return fmt.Errorf("berti-delta-bounds: entry %d tracks delta %d outside ±%d", t, d, bertiMaxDelta)
 				}
-				for _, o := range ent.deltas[j+1:] {
-					if o.valid && o.delta == d.delta {
-						return fmt.Errorf("berti-duplicate-delta: entry %d tracks delta %d twice", t, d.delta)
+				for _, o := range ent.delta[j+1:] {
+					if o == d {
+						return fmt.Errorf("berti-duplicate-delta: entry %d tracks delta %d twice", t, d)
 					}
 				}
 			}

@@ -51,23 +51,26 @@ func TestCheckInvariants(t *testing.T) {
 			t.Fatalf("CheckInvariants = %v", err)
 		}
 		be = NewBerti()
-		be.table[0].deltas[0].valid = true
-		be.table[0].deltas[0].delta = 4
-		be.table[0].deltas[0].conf = bertiConfMax + 1
+		be.table[0].delta[0] = 4
+		be.table[0].conf[0] = bertiConfMax + 1
 		if err := CheckInvariants(be); err == nil || !strings.HasPrefix(err.Error(), "berti-conf-bounds:") {
 			t.Fatalf("CheckInvariants = %v", err)
 		}
 		be = NewBerti()
-		be.table[0].deltas[0].valid = true
-		be.table[0].deltas[0].delta = 0
+		be.table[0].delta[0] = bertiMaxDelta + 1 // delta 0 marks an empty slot
 		if err := CheckInvariants(be); err == nil || !strings.HasPrefix(err.Error(), "berti-delta-bounds:") {
 			t.Fatalf("CheckInvariants = %v", err)
 		}
 		be = NewBerti()
 		for _, j := range []int{3, 9} {
-			be.table[0].deltas[j] = bertiDelta{delta: -2, conf: 5, valid: true}
+			be.table[0].delta[j], be.table[0].conf[j] = -2, 5
 		}
 		if err := CheckInvariants(be); err == nil || !strings.HasPrefix(err.Error(), "berti-duplicate-delta:") {
+			t.Fatalf("CheckInvariants = %v", err)
+		}
+		be = NewBerti()
+		be.table[0].conf[7] = bertiIssueConf
+		if err := CheckInvariants(be); err == nil || !strings.HasPrefix(err.Error(), "berti-empty-conf:") {
 			t.Fatalf("CheckInvariants = %v", err)
 		}
 	})

@@ -69,6 +69,14 @@ type TLB struct {
 	entries []entry
 	keys    []uint64
 	stacks  []lrustack.Stack
+	// memoKey and memoRow remember the last Lookup hit: the packed 4K key
+	// of the page it translated (0 when clear) and the row that served it.
+	// A hit makes its way MRU, and only insert and Flush change a set's
+	// keys or recency, so until one of them clears the memo a repeat
+	// lookup of that page resolves to the same row and its Touch would be
+	// a no-op: the memo skips both the scan and the Touch.
+	memoKey uint64
+	memoRow int
 	// Stats uses the shared cache-stats vocabulary: demand accesses/misses
 	// give MPKI and miss rate; prefetch fills/useful track pollution.
 	Stats *stats.CacheStats
@@ -135,23 +143,29 @@ func (t *TLB) Lookup(va mem.VAddr, demand bool) (vmem.Translation, bool) {
 	if demand {
 		t.Stats.DemandAccesses++
 	}
-	if set, way := t.find(va); way >= 0 {
-		e := &t.entries[set*t.cfg.Ways+way]
-		t.stacks[set].Touch(way)
-		if demand {
-			t.Stats.DemandHits++
-			if e.prefetch {
-				// First demand use of a prefetched translation.
-				t.Stats.UsefulPrefetches++
-				e.prefetch = false
+	key, row := packKey(va.PageID(), mem.Page4K), t.memoRow
+	if key != t.memoKey {
+		set, way := t.find(va)
+		if way < 0 {
+			if demand {
+				t.Stats.DemandMisses++
 			}
+			return vmem.Translation{}, false
 		}
-		return vmem.Translation{Base: e.base, Kind: e.kind}, true
+		t.stacks[set].Touch(way)
+		row = set*t.cfg.Ways + way
+		t.memoKey, t.memoRow = key, row
 	}
+	e := &t.entries[row]
 	if demand {
-		t.Stats.DemandMisses++
+		t.Stats.DemandHits++
+		if e.prefetch {
+			// First demand use of a prefetched translation.
+			t.Stats.UsefulPrefetches++
+			e.prefetch = false
+		}
 	}
-	return vmem.Translation{}, false
+	return vmem.Translation{Base: e.base, Kind: e.kind}, true
 }
 
 // Probe reports whether a translation is resident without touching LRU or
@@ -177,6 +191,7 @@ func (t *TLB) InsertQuiet(va mem.VAddr, tr vmem.Translation) {
 }
 
 func (t *TLB) insert(va mem.VAddr, tr vmem.Translation, fromPrefetch, quiet bool) {
+	t.memoKey = 0 // the fill moves a way to MRU and may replace the memo's row
 	vpn := va.PageID()
 	if tr.Kind == mem.Page2M {
 		vpn = va.LargePageID()
@@ -313,4 +328,7 @@ func (t *TLB) RegisterMetrics(r *metrics.Registry, prefix string) {
 }
 
 // Flush invalidates every entry (multi-core trace replay).
-func (t *TLB) Flush() { clear(t.keys) }
+func (t *TLB) Flush() {
+	clear(t.keys)
+	t.memoKey = 0
+}
