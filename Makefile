@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check cover bench campaign golden wdl-golden diff fuzz soak daemon-e2e
+.PHONY: build test race vet fmt check cover bench campaign golden wdl-golden diff fuzz soak daemon-e2e
 
 build:
 	$(GO) build ./...
@@ -77,10 +77,12 @@ wdl-golden:
 
 # diff runs the differential sim-vs-oracle suite: clean runs across every
 # policy and family, both injected acceptance bugs (MSHR leak, stale PTE)
-# with shrinking + repro replay, and the -race multicore sweep.
+# with shrinking + repro replay, the -race multicore sweep, and the matrix
+# ledger's check-failure entries in both checking modes under -race.
 diff:
 	$(GO) test ./internal/sim -run 'Check|Shrink|Injected' -v
 	$(GO) test -race ./internal/sim -run TestRaceMulticoreDifferential -v
+	$(GO) test -race ./internal/experiments -run TestMatrixLedgersCheckViolations -v
 
 # fuzz gives each fuzz target CI runs the same bounded budget; the sim
 # targets' counterexamples are shrunk and written under
@@ -97,6 +99,10 @@ fuzz:
 	$(GO) test ./internal/lrustack -run '^$$' -fuzz FuzzLRUStack -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tlb -run '^$$' -fuzz FuzzTLB -fuzztime $(FUZZTIME)
 
-# check is the CI gate: vet, build, and the full suite under the race
+# fmt fails when any Go file is not gofmt-formatted, as CI's gofmt step does.
+fmt:
+	@files=$$(gofmt -l .); [ -z "$$files" ] || { echo "gofmt needed:"; echo "$$files"; exit 1; }
+
+# check is the CI gate: vet, gofmt, build, and the full suite under the race
 # detector (the resilience tests exercise the worker pool concurrently).
-check: vet build race
+check: vet fmt build race

@@ -108,20 +108,6 @@ func main() {
 		os.Exit(1)
 	}
 	cfg.Check = sim.CheckConfig{Enabled: *check || *checkFF, FailFast: *checkFF}
-	if cfg.Check.FailFast {
-		// FailFast models a hardware assertion: the checker aborts the run by
-		// panicking with its typed *CheckError. Surface it as a normal CLI
-		// failure rather than a stack trace.
-		defer func() {
-			if r := recover(); r != nil {
-				if ce, ok := r.(*sim.CheckError); ok {
-					fmt.Fprintf(os.Stderr, "pgcsim: %v\n", ce)
-					os.Exit(1)
-				}
-				panic(r)
-			}
-		}()
-	}
 
 	if *pprofOut != "" {
 		f, err := os.Create(*pprofOut)
@@ -224,14 +210,6 @@ func main() {
 			os.Exit(1)
 		}
 		run, sys, err = sim.RunTraceSystem(ctx, cfg, w.Name, w.Suite, reader)
-		// A decode failure mid-stream (torn record, corrupt gzip) ends the
-		// run early and quietly; surface it as the error it is.
-		if cs, ok := reader.(*trace.ChampSimReader); ok {
-			if derr := cs.Err(); derr != nil && err == nil {
-				err = derr
-			}
-			cs.Close()
-		}
 	}
 	// Metrics and trace artifacts are written even for interrupted runs —
 	// a partial snapshot is exactly what post-hoc stall diagnosis needs.

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,9 @@ func runWithFilter(w trace.Workload, f *core.Filter, instrs uint64) (*pagecross.
 		return nil, err
 	}
 	sys.Core.Attach(reader, instrs)
-	sys.Core.Run()
+	if err := sys.Run(context.Background()); err != nil {
+		return nil, err
+	}
 	return sys.Collect(w.Name, w.Suite), nil
 }
 

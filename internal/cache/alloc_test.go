@@ -45,7 +45,6 @@ func TestAccessZeroAlloc(t *testing.T) {
 		c.OnDemandHit = func(HitInfo) {}
 		c.OnEvict = func(EvictInfo) {}
 		c.OnDemandMiss = func(*Request) {}
-		c.OnFill = func(mem.PAddr, bool, bool) {}
 		return c
 	}
 	// The request is reused across accesses, as the simulator's ports do:

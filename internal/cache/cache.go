@@ -168,7 +168,7 @@ type Cache struct {
 	lowerWarm warmable
 	rng       uint64 // state for random replacement
 	// missLatEWMA tracks the typical demand full-miss latency at this
-	// level; the merge-usefulness test compares against it.
+	// level; only the miss_latency_ewma gauge reads it.
 	missLatEWMA uint64
 
 	// mshrHist samples MSHR occupancy once per access when the level is
@@ -197,8 +197,6 @@ type Cache struct {
 	// OnDemandMiss fires when a demand access misses entirely (no resident
 	// block and no in-flight fill).
 	OnDemandMiss func(req *Request)
-	// OnFill fires when a block is installed.
-	OnFill func(pa mem.PAddr, prefetch, pageCross bool)
 }
 
 // New builds a cache on top of lower.
@@ -558,9 +556,6 @@ func (c *Cache) fill(req *Request, fl *mshr, si uint64, wi int, tag, issue, read
 		if fl.pageCross {
 			c.Stats.PGCIssued++
 		}
-	}
-	if c.OnFill != nil {
-		c.OnFill(req.PA, isPrefetch, fl.pageCross)
 	}
 }
 

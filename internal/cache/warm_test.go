@@ -23,7 +23,6 @@ func TestWarmResidencyCascade(t *testing.T) {
 	l1 := smallCache(t, l2) // 4 sets x 2 ways
 	for _, c := range []*Cache{l1, l2} {
 		c.OnEvict = func(EvictInfo) { t.Error("OnEvict fired during warm") }
-		c.OnFill = func(mem.PAddr, bool, bool) { t.Error("OnFill fired during warm") }
 		c.OnDemandMiss = func(*Request) { t.Error("OnDemandMiss fired during warm") }
 	}
 
@@ -57,7 +56,7 @@ func TestWarmResidencyCascade(t *testing.T) {
 
 	// A demand access to a warmed line is a plain hit at L1's own latency.
 	for _, c := range []*Cache{l1, l2} {
-		c.OnEvict, c.OnFill, c.OnDemandMiss = nil, nil, nil
+		c.OnEvict, c.OnDemandMiss = nil, nil
 	}
 	if ready := l1.Access(load(d), 1000); ready != 1002 {
 		t.Fatalf("post-warm demand ready = %d, want 1002 (L1 hit)", ready)

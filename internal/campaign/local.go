@@ -19,10 +19,7 @@ type localBackend struct{}
 func Local() Backend { return localBackend{} }
 
 // ExecuteCell runs one attempt of c, converting panics into *sim.RunError
-// so a poisoned cell cannot take the campaign down. A FailFast checker's
-// *sim.CheckError panic is a first-class verdict about the simulator, not
-// a crash: it lands under the "check" stage so CheckFailure can tell
-// correctness violations from environmental failures.
+// so a poisoned cell cannot take the campaign down.
 func (localBackend) ExecuteCell(ctx context.Context, c *Cell, _ EventSink) (runs []*stats.Run, err error) {
 	// RunError labels carry the workload name for single-core cells (what
 	// the experiments ledger reports) and the cell ID for mixes.
@@ -33,10 +30,6 @@ func (localBackend) ExecuteCell(ctx context.Context, c *Cell, _ EventSink) (runs
 	defer func() {
 		if r := recover(); r != nil {
 			runs = nil
-			if ce, ok := r.(*sim.CheckError); ok {
-				err = &sim.RunError{Workload: label, Stage: "check", Err: ce}
-				return
-			}
 			err = &sim.RunError{
 				Workload: label, Stage: "measure", Panicked: true,
 				Err: fmt.Errorf("recovered panic: %v", r),
@@ -48,11 +41,7 @@ func (localBackend) ExecuteCell(ctx context.Context, c *Cell, _ EventSink) (runs
 		if merr != nil {
 			return nil, &sim.RunError{Workload: c.ID, Stage: "setup", Err: merr}
 		}
-		runs, err = ms.RunMix(ctx, c.Mix)
-		if err != nil {
-			return nil, err
-		}
-		return runs, nil
+		return ms.RunMix(ctx, c.Mix)
 	}
 	run, rerr := sim.RunWorkload(ctx, c.Config, c.Workload)
 	if rerr != nil {

@@ -88,7 +88,7 @@ func TestMispredictStallsFrontEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Attach(mkTrace(random), 6000)
-		c.Run()
+		runAll(c)
 		return c
 	}
 	easy := run(false)

@@ -15,7 +15,7 @@ func TestCheckInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Attach(opTrace(2000), 2000)
-		c.Run()
+		runAll(c)
 		return c
 	}
 

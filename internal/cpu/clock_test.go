@@ -179,14 +179,14 @@ func TestIdleSkipLockstep(t *testing.T) {
 	}
 }
 
-// TestIdleSkipRunEqualsStepCycles verifies Run (unbounded skip) lands on the
-// same final state as quantum-bounded stepping — the skip distance cap is a
+// TestIdleSkipRunEqualsStepCycles verifies one unbounded StepCycles call
+// (unbounded skip) lands on the same final state as quantum-bounded stepping — the skip distance cap is a
 // scheduling artefact, never a semantic one.
 func TestIdleSkipRunEqualsStepCycles(t *testing.T) {
 	for _, tc := range clockCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			ran := newClockCore(t, tc, false, nil)
-			ran.Run()
+			runAll(ran)
 			stepped := newClockCore(t, tc, false, nil)
 			for !stepped.StepCycles(tc.quantum) {
 			}

@@ -218,19 +218,6 @@ func (c *Core) StepCycles(n uint64) bool {
 	return c.Done()
 }
 
-// Run drives the core until its budget is retired.
-func (c *Core) Run() {
-	for !c.Done() {
-		if !c.cfg.DisableIdleSkip {
-			if k := c.idleCycles(^uint64(0)); k > 0 {
-				c.skipIdle(k)
-				continue
-			}
-		}
-		c.step()
-	}
-}
-
 // idleCycles returns the number of cycles (capped at max) that can be
 // skipped wholesale because the next cycle provably does nothing: the ROB
 // head has not completed (no retire) and the front-end fetch is outstanding

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/trace"
@@ -14,6 +15,9 @@ func fastPorts() Ports {
 		Store: func(pc, va uint64, cycle uint64) uint64 { return cycle + 1 },
 	}
 }
+
+// runAll steps c until its budget retires in one unbounded StepCycles call.
+func runAll(c *Core) { c.StepCycles(math.MaxUint64) }
 
 // opTrace builds n non-memory instructions on one cache line.
 func opTrace(n int) *trace.SliceReader {
@@ -39,7 +43,7 @@ func TestIPCBoundedByWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Attach(opTrace(6000), 6000)
-	c.Run()
+	runAll(c)
 	ipc := c.Stats.IPC()
 	if ipc > 6.0 {
 		t.Fatalf("IPC %g exceeds width", ipc)
@@ -70,7 +74,7 @@ func TestSlowLoadsStallROB(t *testing.T) {
 		ins[i] = trace.Instr{PC: 0x400000, Kind: k, Addr: addr}
 	}
 	c.Attach(trace.NewSliceReader(ins), 1000)
-	c.Run()
+	runAll(c)
 	if c.Stats.ROBStallCycles == 0 {
 		t.Fatal("500-cycle loads should stall retire")
 	}
@@ -99,7 +103,7 @@ func TestMLPOverlapsLoads(t *testing.T) {
 		ins[i] = trace.Instr{PC: 0x400000, Kind: k, Addr: addr}
 	}
 	c.Attach(trace.NewSliceReader(ins), 4000)
-	c.Run()
+	runAll(c)
 	if ipc := c.Stats.IPC(); ipc < 0.5 {
 		t.Fatalf("IPC %g: ROB is not extracting MLP", ipc)
 	}
@@ -119,7 +123,7 @@ func TestFetchStallGatesDispatch(t *testing.T) {
 		ins[i] = trace.Instr{PC: uint64(0x400000 + i*64), Kind: trace.Op}
 	}
 	c.Attach(trace.NewSliceReader(ins), 600)
-	c.Run()
+	runAll(c)
 	if fetches != 600 {
 		t.Fatalf("fetches = %d, want 600 (one per line)", fetches)
 	}
@@ -141,7 +145,7 @@ func TestStoresRetireWithoutWaiting(t *testing.T) {
 		ins[i] = trace.Instr{PC: 0x400000, Kind: trace.Store, Addr: uint64(0x1000 + i*64)}
 	}
 	c.Attach(trace.NewSliceReader(ins), 100)
-	c.Run()
+	runAll(c)
 	if storeCalls != 100 {
 		t.Fatalf("store port called %d times", storeCalls)
 	}
@@ -158,7 +162,7 @@ func TestEpochCallback(t *testing.T) {
 	cfg.EpochInstrs = 100
 	c, _ := New(cfg, p)
 	c.Attach(opTrace(1000), 1000)
-	c.Run()
+	runAll(c)
 	if len(epochs) < 9 {
 		t.Fatalf("epochs fired %d times, want ~10", len(epochs))
 	}
@@ -170,7 +174,7 @@ func TestEpochCallback(t *testing.T) {
 func TestBudgetStopsMidTrace(t *testing.T) {
 	c, _ := New(DefaultConfig(), fastPorts())
 	c.Attach(opTrace(1000), 300)
-	c.Run()
+	runAll(c)
 	if c.Stats.Instructions != 300 {
 		t.Fatalf("retired %d, want 300", c.Stats.Instructions)
 	}
@@ -179,7 +183,7 @@ func TestBudgetStopsMidTrace(t *testing.T) {
 	}
 	// Re-attach continues from where the trace left off.
 	c.Attach(opTrace(1000), 200)
-	c.Run()
+	runAll(c)
 	if c.Stats.Instructions != 500 {
 		t.Fatalf("retired %d after re-attach, want 500", c.Stats.Instructions)
 	}
@@ -190,7 +194,7 @@ func TestReplayOnEnd(t *testing.T) {
 	cfg.ReplayOnEnd = true
 	c, _ := New(cfg, fastPorts())
 	c.Attach(opTrace(50), 500) // trace shorter than budget
-	c.Run()
+	runAll(c)
 	if c.Stats.Instructions != 500 {
 		t.Fatalf("retired %d with replay, want 500", c.Stats.Instructions)
 	}
@@ -199,7 +203,7 @@ func TestReplayOnEnd(t *testing.T) {
 func TestNoReplayStopsAtTraceEnd(t *testing.T) {
 	c, _ := New(DefaultConfig(), fastPorts())
 	c.Attach(opTrace(50), 500)
-	c.Run()
+	runAll(c)
 	if c.Stats.Instructions != 50 {
 		t.Fatalf("retired %d without replay, want 50", c.Stats.Instructions)
 	}
@@ -226,7 +230,7 @@ func TestROBOccupancyFrac(t *testing.T) {
 		ins[i] = trace.Instr{PC: 0x400000, Kind: trace.Load, Addr: uint64(i * 64)}
 	}
 	c.Attach(trace.NewSliceReader(ins), 2000)
-	c.Run()
+	runAll(c)
 	if f := c.ROBOccupancyFrac(); f < 0.3 {
 		t.Fatalf("mean ROB occupancy %g too low for a load-bound trace", f)
 	}

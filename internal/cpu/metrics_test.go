@@ -15,7 +15,7 @@ func TestRegisterMetrics(t *testing.T) {
 	c.RegisterMetrics(r, "core")
 
 	c.Attach(opTrace(500), 500)
-	c.Run()
+	runAll(c)
 
 	v := func(name string) uint64 {
 		x, ok := r.Value(name)

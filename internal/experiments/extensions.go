@@ -226,17 +226,19 @@ func Fig19(o Options, cores, mixes int) (*Fig19Result, error) {
 
 	// Isolation IPCs (per workload, per scenario) for the weighted-speedup
 	// metric: IPC of the workload alone on the multi-core configuration.
-	distinct := map[string]trace.Workload{}
+	// The list is in order of first appearance across the mixes, so the
+	// isolation campaign's spec is the same on every run.
+	seen := map[string]bool{}
+	var distinct []trace.Workload
 	for _, mix := range mixList {
 		for _, w := range mix {
-			distinct[w.Name] = w
+			if !seen[w.Name] {
+				seen[w.Name] = true
+				distinct = append(distinct, w)
+			}
 		}
 	}
-	var distinctList []trace.Workload
-	for _, w := range distinct {
-		distinctList = append(distinctList, w)
-	}
-	iso, err := RunMatrix(o, distinctList, scens)
+	iso, err := RunMatrix(o, distinct, scens)
 	if err != nil {
 		return nil, err
 	}
@@ -250,23 +252,18 @@ func Fig19(o Options, cores, mixes int) (*Fig19Result, error) {
 
 	// Per-mix multi-core runs, as one campaign of mix cells: every
 	// (scenario, mix) pair is a cell, cached and parallelised like the
-	// single-core matrices. The non-baseline cells declare the baseline
-	// cell of their mix as a dependency — the weighted speedup is read
-	// against it, so the DAG orders baselines first.
+	// single-core matrices. The cells are independent: weighted speedups
+	// are read only once the whole campaign has returned.
 	mixID := func(scen string, i int) string { return cellID(scen, "mix"+strconv.Itoa(i)) }
 	var cells []campaign.Cell
 	for i, mix := range mixList {
-		for j, sc := range scens {
+		for _, sc := range scens {
 			mc := sim.DefaultMultiConfig()
 			mc.Cores = cores
 			mc.PerCore = baseConfig(o)
 			mc.PerCore.Core.ReplayOnEnd = true
 			sc.Configure(&mc.PerCore)
-			cell := campaign.Cell{ID: mixID(sc.Name, i), Multi: &mc, Mix: mix}
-			if j > 0 {
-				cell.After = []string{mixID(scens[0].Name, i)}
-			}
-			cells = append(cells, cell)
+			cells = append(cells, campaign.Cell{ID: mixID(sc.Name, i), Multi: &mc, Mix: mix})
 		}
 	}
 	crep, err := campaign.Run(o.ctx(), campaign.Spec{Name: "fig19", Cells: cells}, o.Campaign...)

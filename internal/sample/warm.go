@@ -41,70 +41,37 @@ type Warmer struct {
 	dataLine  uint64
 	hasData   bool
 	dataDirty bool
+
+	single singles // adapts a reader without NextBatch
 }
 
 // Run consumes up to n instructions from r functionally, returning how many
 // it consumed and whether the trace ended (only when Replay is false).
+// Readers without NextBatch are read one instruction per batch.
 func (w *Warmer) Run(r trace.Reader, n uint64) (consumed uint64, ended bool) {
 	// The memos are only exact while no detailed interval intervenes:
 	// after detailed execution the remembered lines may no longer be MRU.
 	// Run is called per chunk, so clearing here costs at most one redundant
 	// access per chunk while guaranteeing no memo ever spans a segment.
 	w.hasLine, w.hasData = false, false
-	if br, ok := r.(trace.BatchReader); ok {
-		return w.runBatch(br, n)
+	br, ok := r.(trace.BatchReader)
+	if !ok {
+		w.single.Reader = r
+		br = &w.single
 	}
-	for consumed < n {
-		in, ok := r.Next()
-		if !ok {
-			if !w.Replay {
-				return consumed, true
-			}
-			r.Reset()
-			if in, ok = r.Next(); !ok {
-				return consumed, true
-			}
-		}
-		if line := in.PC >> mem.LineBits; !w.hasLine || line != w.line {
-			w.hasLine = true
-			w.line = line
-			w.Ops.WarmFetch(in.PC)
-		}
-		switch in.Kind {
-		case trace.Load:
-			if line := in.Addr >> mem.LineBits; !w.hasData || line != w.dataLine {
-				w.hasData, w.dataLine, w.dataDirty = true, line, false
-				w.Ops.WarmLoad(in.Addr)
-			}
-		case trace.Store:
-			if line := in.Addr >> mem.LineBits; !w.hasData || line != w.dataLine || !w.dataDirty {
-				w.hasData, w.dataLine, w.dataDirty = true, line, true
-				w.Ops.WarmStore(in.Addr)
-			}
-		}
-		consumed++
-	}
-	return consumed, false
-}
-
-// runBatch is Run over a BatchReader: the same per-instruction logic applied
-// to buffered slices, skipping one interface call and one 32-byte copy per
-// fast-forwarded instruction — measurable when warm throughput approaches
-// the trace-read floor.
-func (w *Warmer) runBatch(r trace.BatchReader, n uint64) (consumed uint64, ended bool) {
 	for consumed < n {
 		max := n - consumed
 		const batchCap = 1 << 15
 		if max > batchCap {
 			max = batchCap
 		}
-		batch := r.NextBatch(int(max))
+		batch := br.NextBatch(int(max))
 		if len(batch) == 0 {
 			if !w.Replay {
 				return consumed, true
 			}
-			r.Reset()
-			if batch = r.NextBatch(int(max)); len(batch) == 0 {
+			br.Reset()
+			if batch = br.NextBatch(int(max)); len(batch) == 0 {
 				return consumed, true
 			}
 		}
@@ -131,4 +98,22 @@ func (w *Warmer) runBatch(r trace.BatchReader, n uint64) (consumed uint64, ended
 		consumed += uint64(len(batch))
 	}
 	return consumed, false
+}
+
+// singles reads a Reader without NextBatch as one-instruction batches, so
+// the warmer never takes an instruction beyond its budget. It lives in the
+// Warmer so adapting a reader allocates nothing.
+type singles struct {
+	trace.Reader
+	in [1]trace.Instr
+}
+
+// NextBatch implements trace.BatchReader.
+func (s *singles) NextBatch(int) []trace.Instr {
+	in, ok := s.Next()
+	if !ok {
+		return nil
+	}
+	s.in[0] = in
+	return s.in[:]
 }

@@ -36,11 +36,10 @@ type CheckConfig struct {
 	// Enabled turns checking on. The zero value — disabled — costs nothing
 	// on the hot path.
 	Enabled bool
-	// FailFast aborts the run at the first poll boundary that observes a
-	// violation by panicking with the *CheckError as the panic value,
-	// modelling a hardware assertion. The matrix harness recovers the typed
-	// value and ledgers it as a check failure; direct callers (CLIs) should
-	// leave FailFast off and consume the error Run returns.
+	// FailFast ends the run at the first poll boundary that observes a
+	// violation, modelling a hardware assertion: the run returns that
+	// poll's *CheckError (under the "check" stage) instead of running its
+	// budget out and returning every violation at the end.
 	FailFast bool
 	// MaxViolations bounds how many violations one run records; ≤0 selects
 	// oracle.DefaultMaxViolations.
@@ -70,12 +69,16 @@ func (s *System) buildChecker() error {
 	return nil
 }
 
-// runChecks performs the poll-grain component sweep. With FailFast it
-// panics on the first violation (typed *CheckError value); otherwise it
-// keeps accumulating and lets Run surface the error at completion.
-func (s *System) runChecks(cycle uint64) {
-	err := s.checker.CheckAll(cycle)
-	if err != nil && s.cfg.Check.FailFast {
-		panic(err)
+// runChecks performs the poll-grain component sweep and returns the
+// violations accumulated so far; nil when the system is unchecked or clean.
+// CheckAll's nil *CheckError must not reach the error interface, where it
+// would read as a failure.
+func (s *System) runChecks() error {
+	if s.checker == nil {
+		return nil
 	}
+	if err := s.checker.CheckAll(s.Core.Cycle()); err != nil {
+		return err
+	}
+	return nil
 }

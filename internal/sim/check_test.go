@@ -176,9 +176,10 @@ func TestInjectedTLBStalePTECaught(t *testing.T) {
 	}
 }
 
-// TestCheckFailFastPanics proves FailFast aborts mid-run with the typed
-// *CheckError panic value the matrix worker pool classifies.
-func TestCheckFailFastPanics(t *testing.T) {
+// TestCheckFailFastReturnsEarly proves FailFast ends the run at the first
+// poll that observes a violation and returns that poll's *CheckError, under
+// the "check" stage, long before the budget retires.
+func TestCheckFailFastReturnsEarly(t *testing.T) {
 	cfg := checkConfig()
 	cfg.Check.FailFast = true
 	cfg.FaultInject = faultinject.New(faultinject.Config{MSHRLeakEveryN: 20})
@@ -186,20 +187,25 @@ func TestCheckFailFastPanics(t *testing.T) {
 	if !ok {
 		t.Fatal("workload missing")
 	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("FailFast run did not panic")
-		}
-		ce, ok := r.(*CheckError)
-		if !ok {
-			t.Fatalf("panic value %T, want *CheckError", r)
-		}
-		if ce.First() == nil {
-			t.Fatal("panic CheckError carries no violations")
-		}
-	}()
-	_, _ = RunWorkload(context.Background(), cfg, w)
+	reader, err := w.NewReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sys, err := RunTraceSystem(context.Background(), cfg, w.Name, w.Suite, reader)
+	ce := CheckFailure(err)
+	if ce == nil {
+		t.Fatalf("FailFast run returned %v, want a CheckError", err)
+	}
+	if first := ce.First(); first == nil || first.Invariant != "mshr-leak" {
+		t.Fatalf("first violation = %v, want an mshr-leak", first)
+	}
+	var re *RunError
+	if !errors.As(err, &re) || re.Stage != "check" || re.Panicked {
+		t.Fatalf("error %v not returned under the check stage", err)
+	}
+	if budget, retired := cfg.WarmupInstrs+cfg.SimInstrs, sys.Core.RetiredTotal(); retired >= budget {
+		t.Fatalf("FailFast run retired %d of %d instructions, want an early stop", retired, budget)
+	}
 }
 
 // TestCheckDisabledZeroAlloc pins the disabled hot path: the only cost of
@@ -215,9 +221,9 @@ func TestCheckDisabledZeroAlloc(t *testing.T) {
 		t.Fatal("checker built with Check disabled")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		// The exact guard Run and epoch execute per poll/epoch boundary.
-		if sys.checker != nil {
-			sys.runChecks(sys.Core.Cycle())
+		// The sweep every poll runs; disabled, it is a nil guard.
+		if err := sys.runChecks(); err != nil {
+			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {

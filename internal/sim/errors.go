@@ -76,7 +76,7 @@ func (e *StallError) Error() string {
 // whether the failure was a recovered panic.
 type RunError struct {
 	Workload string
-	Stage    string // "setup", "build", "warmup" or "measure"
+	Stage    string // "setup", "build", "warmup", "measure", "check" or "trace"
 	Panicked bool
 	Err      error
 }

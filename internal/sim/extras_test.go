@@ -42,7 +42,9 @@ func TestFDPThrottleWiring(t *testing.T) {
 	w := streamWorkload(t)
 	reader, _ := w.NewReader()
 	sys.Core.Attach(reader, cfg.SimInstrs)
-	sys.Core.Run()
+	if err := sys.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if sys.L1D.Stats.PrefetchFills == 0 {
 		t.Fatal("throttled prefetcher filled nothing")
 	}
@@ -114,11 +116,15 @@ func TestCollectSnapshotIsolation(t *testing.T) {
 	w := streamWorkload(t)
 	reader, _ := w.NewReader()
 	sys.Core.Attach(reader, cfg.SimInstrs)
-	sys.Core.Run()
+	if err := sys.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	snap := sys.Collect(w.Name, w.Suite)
 	before := snap.Core.Instructions
 	sys.Core.Attach(reader, 5_000)
-	sys.Core.Run()
+	if err := sys.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if snap.Core.Instructions != before {
 		t.Fatal("snapshot mutated by later simulation")
 	}

@@ -75,8 +75,10 @@ func NewMulti(cfg MultiConfig) (*MultiSystem, error) {
 // returns ctx.Err() within one poll interval of cancellation and a
 // *StallError when no core retires for the configured bound (a shared-level
 // deadlock would otherwise spin forever). Like a single-core run, a mix is
-// one fault-injection attempt.
-func (m *MultiSystem) RunMix(ctx context.Context, mix []trace.Workload) ([]*stats.Run, error) {
+// one fault-injection attempt. On every return each core's reader is ended
+// as a single-core run ends its own (see endReader): closed, and a torn
+// trace fails the mix at stage "trace".
+func (m *MultiSystem) RunMix(ctx context.Context, mix []trace.Workload) (runs []*stats.Run, err error) {
 	if len(mix) != len(m.Systems) {
 		return nil, fmt.Errorf("sim: mix has %d workloads for %d cores", len(mix), len(m.Systems))
 	}
@@ -84,13 +86,24 @@ func (m *MultiSystem) RunMix(ctx context.Context, mix []trace.Workload) ([]*stat
 	if err := per.FaultInject.BeginAttempt(); err != nil {
 		return nil, &RunError{Workload: mix[0].Name, Stage: "setup", Err: err}
 	}
-	// Warmup phase.
+	// Warmup phase. opened holds the workloads' own readers, which the
+	// deferred end reads errors from; readers holds what the cores consume.
+	opened := make([]trace.Reader, 0, len(mix))
+	defer func() {
+		for i, r := range opened {
+			err = endReader(mix[i].Name, r, err)
+		}
+		if err != nil {
+			runs = nil
+		}
+	}()
 	readers := make([]trace.Reader, len(mix))
 	for i, w := range mix {
 		r, err := w.NewReader()
 		if err != nil {
 			return nil, &RunError{Workload: w.Name, Stage: "setup", Err: err}
 		}
+		opened = append(opened, r)
 		readers[i] = per.FaultInject.WrapReader(r)
 	}
 	wd := per.Watchdog.withDefaults()
@@ -131,23 +144,22 @@ func (m *MultiSystem) RunMix(ctx context.Context, mix []trace.Workload) ([]*stat
 	for i, sys := range m.Systems {
 		sys.Core.Attach(readers[i], per.SimInstrs)
 	}
-	out := make([]*stats.Run, len(mix))
+	runs = make([]*stats.Run, len(mix))
 	remaining := len(mix)
-	err := drive(ctx, m.Systems, m.cfg.QuantumCycles, wd, func(i int) bool {
-		if out[i] != nil {
+	if err := drive(ctx, m.Systems, m.cfg.QuantumCycles, wd, func(i int) bool {
+		if runs[i] != nil {
 			return false // done replaying; stays idle
 		}
 		sys := m.Systems[i]
-		out[i] = sys.Collect(mix[i].Name, mix[i].Suite)
-		out[i].LLC = *m.LLC.Stats // shared level
+		runs[i] = sys.Collect(mix[i].Name, mix[i].Suite)
+		runs[i].LLC = *m.LLC.Stats // shared level
 		if remaining--; remaining == 0 {
 			return true
 		}
 		sys.Core.Attach(readers[i], per.SimInstrs)
 		return false
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return runs, nil
 }

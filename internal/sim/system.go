@@ -115,7 +115,7 @@ type Config struct {
 }
 
 // WatchdogConfig bounds a run's forward progress. A simulated core that
-// stops retiring is otherwise an infinite loop: sys.Core.Run() only returns
+// stops retiring is otherwise an infinite loop: stepping only ends
 // when the instruction budget retires, so one stall bug (a load whose ready
 // cycle never arrives, a walker deadlock) would hang an entire experiment
 // matrix. The watchdog turns that hang into a StallError with a diagnostic
@@ -704,8 +704,9 @@ func (s *System) Run(ctx context.Context) error {
 // checks ctx, runs each core's invariant sweep and applies one watchdog
 // rule: abort when no running core has retired for NoRetireBound cycles, or
 // when this call has run MaxCycles cycles. Cancellation is therefore seen
-// within one poll interval. When the drive ends, a final invariant sweep
-// surfaces any violation the run accumulated.
+// within one poll interval, and so is a violation under Check.FailFast.
+// When the drive ends, a final invariant sweep surfaces any violation the
+// run accumulated.
 func drive(ctx context.Context, cores []*System, quantum uint64, wd WatchdogConfig, onDone func(i int) (stop bool)) error {
 	pollSweeps := max(1, wd.PollEvery/quantum)
 	for sweeps := uint64(1); ; sweeps++ {
@@ -751,8 +752,8 @@ func poll(ctx context.Context, cores []*System, wd WatchdogConfig, elapsed uint6
 		return err
 	}
 	for _, c := range cores {
-		if c.checker != nil {
-			c.runChecks(c.Core.Cycle())
+		if err := c.runChecks(); err != nil && c.cfg.Check.FailFast {
+			return err
 		}
 	}
 	switch {
@@ -772,15 +773,11 @@ func (s *System) stall(reason StallReason, bound uint64) *StallError {
 }
 
 // finalChecks runs every checked core's sweep at the end of a drive, then
-// surfaces the first core's accumulated violations (FailFast runs never
-// reach here with violations: they panic at the poll that observed them).
+// surfaces the first core's accumulated violations (a FailFast run that
+// saw them at a poll has already returned).
 func finalChecks(cores []*System) error {
 	for _, c := range cores {
-		if c.checker == nil {
-			continue
-		}
-		c.runChecks(c.Core.Cycle())
-		if err := c.checker.Err(); err != nil {
+		if err := c.runChecks(); err != nil {
 			return err
 		}
 	}
@@ -802,20 +799,7 @@ func RunWorkload(ctx context.Context, cfg Config, w trace.Workload) (*stats.Run,
 	if cfg.Sample.Enabled && cfg.Sample.Seed == 0 && w.Config.Seed != 0 {
 		cfg.Sample.Seed = w.Config.Seed
 	}
-	run, rerr := RunTrace(ctx, cfg, w.Name, w.Suite, reader)
-	// External trace readers (ChampSim files) report decode failures through
-	// a sticky error and hold an open file: a torn record mid-stream must
-	// fail the run, not silently shorten it, and the descriptor must not
-	// leak across a campaign's thousands of cells.
-	if ec, ok := reader.(interface{ Err() error }); ok && rerr == nil {
-		if derr := ec.Err(); derr != nil {
-			rerr = &RunError{Workload: w.Name, Stage: "trace", Err: derr}
-		}
-	}
-	if c, ok := reader.(io.Closer); ok {
-		c.Close()
-	}
-	return run, rerr
+	return RunTrace(ctx, cfg, w.Name, w.Suite, reader)
 }
 
 // RunTrace runs an arbitrary instruction stream (e.g. a recorded trace file)
@@ -834,31 +818,53 @@ func RunTrace(ctx context.Context, cfg Config, name, suite string, reader trace.
 // callers can export its metrics snapshot (-metrics-out), drain its event
 // tracer (-trace-out), or diff registries across runs. The system is nil
 // only when construction itself failed.
-func RunTraceSystem(ctx context.Context, cfg Config, name, suite string, reader trace.Reader) (*stats.Run, *System, error) {
+//
+// The run consumes reader: on every return it is ended through endReader,
+// which closes it and fails an otherwise clean run with the reader's
+// decode error, so a torn trace never passes as a short one.
+func RunTraceSystem(ctx context.Context, cfg Config, name, suite string, reader trace.Reader) (run *stats.Run, sys *System, err error) {
+	defer func() { err = endReader(name, reader, err) }()
 	if err := cfg.FaultInject.BeginAttempt(); err != nil {
 		return nil, nil, &RunError{Workload: name, Stage: "setup", Err: err}
 	}
-	sys, err := New(cfg)
+	sys, err = New(cfg)
 	if err != nil {
 		return nil, nil, &RunError{Workload: name, Stage: "build", Err: err}
 	}
-	reader = cfg.FaultInject.WrapReader(reader)
+	src := cfg.FaultInject.WrapReader(reader)
 	if cfg.Sample.Enabled {
-		run, err := sys.runSampled(ctx, name, suite, reader)
+		run, err := sys.runSampled(ctx, name, suite, src)
 		return run, sys, err
 	}
 	if cfg.WarmupInstrs > 0 {
-		sys.Core.Attach(reader, cfg.WarmupInstrs)
+		sys.Core.Attach(src, cfg.WarmupInstrs)
 		if err := sys.Run(ctx); err != nil {
 			return nil, sys, &RunError{Workload: name, Stage: runStage("warmup", err), Err: err}
 		}
 		sys.ResetStats()
 	}
-	sys.Core.Attach(reader, cfg.SimInstrs)
+	sys.Core.Attach(src, cfg.SimInstrs)
 	if err := sys.Run(ctx); err != nil {
 		return sys.Collect(name, suite), sys, &RunError{Workload: name, Stage: runStage("measure", err), Err: err}
 	}
 	return sys.Collect(name, suite), sys, nil
+}
+
+// endReader ends one run's trace reader: it closes it when it holds a
+// file, and when err is nil it reports the reader's sticky decode or I/O
+// error (external traces have one; see trace.ChampSimReader.Err) as a
+// RunError at stage "trace". A torn record ends the stream early, and the
+// Reader contract has no other way to say so.
+func endReader(name string, r trace.Reader, err error) error {
+	if ec, ok := r.(interface{ Err() error }); ok && err == nil {
+		if derr := ec.Err(); derr != nil {
+			err = &RunError{Workload: name, Stage: "trace", Err: derr}
+		}
+	}
+	if c, ok := r.(io.Closer); ok {
+		c.Close()
+	}
+	return err
 }
 
 // runStage refines a run phase's ledger stage: invariant-checker failures

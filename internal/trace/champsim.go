@@ -145,8 +145,8 @@ func expandChampSim(dst []Instr, rec *ChampSimRecord, nextIP uint64) []Instr {
 //
 // Decode failures cannot surface through Next (the Reader contract has no
 // error path); the stream ends instead and Err reports the typed
-// *ChampSimError. Callers that need strictness check Err after the run —
-// sim integration does this via the CLI wrappers.
+// *ChampSimError. Callers that need strictness check Err after the run;
+// sim's run entry points do, and fail the run at stage "trace".
 type ChampSimReader struct {
 	open func() (io.ReadCloser, error)
 
@@ -214,9 +214,13 @@ func (g *gzipReadCloser) Close() error {
 	return ferr
 }
 
-// start opens the source and primes the lookahead.
+// start opens the source and primes the lookahead. A stream that has
+// failed stays failed: it is not re-opened.
 func (r *ChampSimReader) start() {
 	r.started = true
+	if r.err != nil {
+		return
+	}
 	rc, err := r.open()
 	if err != nil {
 		r.err = err
@@ -301,7 +305,9 @@ func (r *ChampSimReader) NextBatch(max int) []Instr {
 }
 
 // Reset implements Reader: the source is closed and re-opened, so the next
-// Next replays from the first record.
+// Next replays from the first record. A decode or I/O error survives Reset:
+// replaying a torn trace's prefix would hide the tear, so the stream stays
+// ended and Err keeps reporting it. Only a clean end of trace replays.
 func (r *ChampSimReader) Reset() {
 	if r.rc != nil {
 		r.rc.Close()
@@ -311,7 +317,6 @@ func (r *ChampSimReader) Reset() {
 	r.pending = r.pending[:0]
 	r.pos = 0
 	r.haveRec = false
-	r.err = nil
 	r.started = false
 }
 

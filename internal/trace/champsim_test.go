@@ -160,6 +160,27 @@ func TestChampSimResetReplaysIdentically(t *testing.T) {
 	}
 }
 
+// TestChampSimResetKeepsError pins that a decode error outlives Reset: the
+// replay of a torn trace yields nothing and Err keeps the typed error.
+func TestChampSimResetKeepsError(t *testing.T) {
+	r, err := OpenChampSim(fixture("truncated.champsim"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if len(readAll(r)) == 0 || r.Err() == nil {
+		t.Fatal("torn fixture did not decode its prefix and fail")
+	}
+	r.Reset()
+	if n := len(readAll(r)); n != 0 {
+		t.Fatalf("replay after a decode error produced %d instructions", n)
+	}
+	var cse *ChampSimError
+	if !errors.As(r.Err(), &cse) {
+		t.Fatalf("error after Reset is %v, want the *ChampSimError", r.Err())
+	}
+}
+
 func TestChampSimNextBatchMatchesNext(t *testing.T) {
 	a, err := OpenChampSim(fixture("valid_small.champsim"))
 	if err != nil {
