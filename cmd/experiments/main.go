@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"runtime/pprof"
 	"strings"
+	"sync/atomic"
 	"syscall"
 
 	"repro/internal/campaign"
@@ -92,15 +93,16 @@ func main() {
 	defer stop()
 	hardExitOnSecondSignal()
 
-	totals := &campaign.Totals{}
+	var cells tally
 	o := experiments.Options{
 		Warmup: *warmup, Instrs: *instrs,
 		MaxWorkloads: *maxWl, Prefetcher: *pf,
-		Ctx:      ctx,
-		Campaign: []campaign.Option{campaign.WithWorkers(*par), campaign.WithCache(*cacheDir)},
-		Check:    sim.CheckConfig{Enabled: *check},
-		Sample:   sim.SampleConfig{Enabled: *sampled, PeriodInstrs: *samplePer},
-		Totals:   totals,
+		Ctx: ctx,
+		Campaign: []campaign.Option{
+			campaign.WithWorkers(*par), campaign.WithCache(*cacheDir), campaign.WithEvents(cells.observe),
+		},
+		Check:  sim.CheckConfig{Enabled: *check},
+		Sample: sim.SampleConfig{Enabled: *sampled, PeriodInstrs: *samplePer},
 	}
 	if err := o.Sample.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
@@ -162,7 +164,30 @@ func main() {
 	}
 	// Campaign accounting: `make campaign` asserts a warm-cache re-run
 	// prints simulated=0 here.
-	fmt.Printf("campaign: %s\n", totals)
+	fmt.Printf("campaign: %s\n", &cells)
+}
+
+// tally counts the cells that retire across every campaign an invocation
+// runs, by the terminal event each cell emits exactly once. Campaigns
+// deliver events from their own sinks, so the counters are atomic.
+type tally struct{ simulated, cached, failed atomic.Int64 }
+
+func (t *tally) observe(ev campaign.Event) {
+	switch ev.Kind {
+	case campaign.EventCellCompleted:
+		t.simulated.Add(1)
+	case campaign.EventCellCached:
+		t.cached.Add(1)
+	case campaign.EventCellFailed:
+		t.failed.Add(1)
+	}
+}
+
+// String renders the counts as the final "campaign:" line, which
+// `make campaign` and CI grep.
+func (t *tally) String() string {
+	return fmt.Sprintf("simulated=%d cached=%d failed=%d",
+		t.simulated.Load(), t.cached.Load(), t.failed.Load())
 }
 
 // env is what every experiment runs with; cores and mixes shape fig19.

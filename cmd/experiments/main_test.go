@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/experiments"
 	"repro/internal/trace"
 )
@@ -100,5 +104,43 @@ func TestAllAndHelpCoverTable(t *testing.T) {
 		if !seen[name] {
 			t.Errorf("-exp all names %s, which the table lacks", name)
 		}
+	}
+}
+
+// TestCampaignLineCountsCells runs a one-workload fig9 on a fresh cache,
+// then again warm: the final "campaign:" line, counted from cell events,
+// reports every cell simulated on the cold run and every one cached on the
+// warm run.
+func TestCampaignLineCountsCells(t *testing.T) {
+	x, err := lookup("fig9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	line := regexp.MustCompile(`^simulated=(\d+) cached=(\d+) failed=(\d+)$`)
+	run := func() (simulated, cached, failed int) {
+		var cells tally
+		e := env{o: experiments.Options{
+			Warmup: 2_000, Instrs: 5_000, MaxWorkloads: 1,
+			Campaign: []campaign.Option{
+				campaign.WithWorkers(2), campaign.WithCache(dir), campaign.WithEvents(cells.observe),
+			},
+		}}
+		if err := x.report(e, io.Discard, false); err != nil {
+			t.Fatal(err)
+		}
+		m := line.FindStringSubmatch(cells.String())
+		if m == nil {
+			t.Fatalf("campaign line %q", cells.String())
+		}
+		n := func(s string) int { v, _ := strconv.Atoi(s); return v }
+		return n(m[1]), n(m[2]), n(m[3])
+	}
+	cold, cached, failed := run()
+	if cold == 0 || cached != 0 || failed != 0 {
+		t.Fatalf("cold run: simulated=%d cached=%d failed=%d", cold, cached, failed)
+	}
+	if s, c, f := run(); s != 0 || c != cold || f != 0 {
+		t.Fatalf("warm run: simulated=%d cached=%d failed=%d, want simulated=0 cached=%d failed=0", s, c, f, cold)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"repro/internal/campaign"
+	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -32,22 +33,15 @@ func main() {
 		prefetcher = flag.String("prefetcher", "berti", "L1D prefetcher: "+strings.Join(sim.PrefetcherNames("l1d"), "|")+"|none")
 		warmup     = flag.Uint64("warmup", 100_000, "warmup instructions")
 		instrs     = flag.Uint64("instrs", 100_000, "measured instructions")
-		maxN       = flag.Int("max", 0, "cap on workloads (0 = all)")
+		maxN       = flag.Int("max", 0, "cap on workloads, evenly spaced across the set (0 = all)")
 		parallel   = flag.Int("parallel", 0, "concurrent runs (0 = NumCPU)")
 	)
 	flag.Parse()
 
-	sets := map[string]func() []trace.Workload{
-		"seen": trace.Seen, "unseen": trace.Unseen, "nonintensive": trace.NonIntensive, "all": trace.All,
-	}
-	load, ok := sets[*set]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "pgcstats: unknown set %q\n", *set)
+	wls, err := workloads(*set, *maxN)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pgcstats: %v\n", err)
 		os.Exit(1)
-	}
-	wls := load()
-	if *maxN > 0 && *maxN < len(wls) {
-		wls = wls[:*maxN]
 	}
 
 	cfg := sim.DefaultConfig()
@@ -59,6 +53,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pgcstats: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// workloads returns the named workload set, capped at n workloads (0 =
+// all) spaced evenly across it so the cap keeps the suites the set spans.
+func workloads(set string, n int) ([]trace.Workload, error) {
+	sets := map[string]func() []trace.Workload{
+		"seen": trace.Seen, "unseen": trace.Unseen, "nonintensive": trace.NonIntensive, "all": trace.All,
+	}
+	load, ok := sets[set]
+	if !ok {
+		return nil, fmt.Errorf("unknown set %q", set)
+	}
+	return experiments.Sample(load(), n), nil
 }
 
 // writeCSV runs every workload under cfg on par campaign workers (0 =

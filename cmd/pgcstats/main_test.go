@@ -74,3 +74,23 @@ func TestRowBranchMPKI(t *testing.T) {
 		t.Fatalf("branch_mpki with no instructions = %s, want 0.0000", got[len(got)-1])
 	}
 }
+
+// TestMaxSpansSuites: -max caps a set with evenly spaced workloads, so a
+// small cap on the seen set (whose first 60 workloads are all spec) still
+// spans several suites.
+func TestMaxSpansSuites(t *testing.T) {
+	wls, err := workloads("seen", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suites := map[string]bool{}
+	for _, w := range wls {
+		suites[w.Suite] = true
+	}
+	if len(wls) != 7 || len(suites) < 2 {
+		t.Fatalf("-max 7 picked %d workloads from suites %v", len(wls), suites)
+	}
+	if _, err := workloads("nope", 0); err == nil {
+		t.Fatal("unknown set accepted")
+	}
+}

@@ -14,9 +14,9 @@ import (
 )
 
 // Exec is the execution policy of a campaign: worker-pool width, the
-// retry/timeout fault-isolation knobs shared with the experiments harness,
-// and the result cache, which is also the campaign's checkpoint. The zero
-// value runs with NumCPU workers, no retries and no cache.
+// retry/timeout fault-isolation knobs, and the result cache, which is also
+// the campaign's checkpoint. The zero value runs with NumCPU workers, no
+// retries and no cache.
 type Exec struct {
 	// Workers is the number of concurrent simulation workers (default
 	// NumCPU).
@@ -131,32 +131,6 @@ func (r *Report) Err() error {
 	f := r.Failures[0]
 	return fmt.Errorf("campaign: %d/%d cells failed (first: %s after %d attempt(s): %w)",
 		len(r.Failures), r.Total, f.ID, f.Attempts, f.Err)
-}
-
-// Totals accumulates cache accounting across several campaign runs (one
-// experiment invocation runs many matrices); safe for concurrent Add.
-type Totals struct {
-	mu                   sync.Mutex
-	CacheHits, Simulated int
-	Failed               int
-}
-
-// Add folds one report into the totals.
-func (t *Totals) Add(r *Report) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.CacheHits += r.CacheHits
-	t.Simulated += r.Simulated
-	t.Failed += len(r.Failures)
-}
-
-// String renders the totals the way cmd/experiments prints them (and
-// `make campaign` greps them).
-func (t *Totals) String() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return fmt.Sprintf("simulated=%d cached=%d failed=%d",
-		t.Simulated, t.CacheHits, t.Failed)
 }
 
 // Run executes the campaign. Cells with satisfied dependencies wait in one
@@ -318,7 +292,7 @@ func (e *engine) finish(ci int) {
 }
 
 // exec resolves one cell: the result cache first, then simulation (with
-// the matrix runner's recover/retry fault isolation). Every freshly
+// retry fault isolation; the backend recovers panics). Every freshly
 // computed result is written to the cache, which checkpoints it.
 func (e *engine) exec(ci int) {
 	c := &e.cells[ci]
@@ -367,8 +341,7 @@ func (e *engine) record(c *Cell, runs []*stats.Run, counter *int) {
 	*counter++
 }
 
-// simulate runs one cell with retry-on-retryable and linear backoff — the
-// same fault-isolation contract as the experiments matrix runner. The
+// simulate runs one cell with retry-on-retryable and linear backoff. The
 // Exec.CellFault hook runs before each attempt; its error counts as that
 // attempt's outcome without the simulation ever starting. Each attempt
 // goes to the execution backend under its own RunTimeout-bounded context,

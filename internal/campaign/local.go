@@ -21,8 +21,8 @@ func Local() Backend { return localBackend{} }
 // ExecuteCell runs one attempt of c, converting panics into *sim.RunError
 // so a poisoned cell cannot take the campaign down.
 func (localBackend) ExecuteCell(ctx context.Context, c *Cell, _ EventSink) (runs []*stats.Run, err error) {
-	// RunError labels carry the workload name for single-core cells (what
-	// the experiments ledger reports) and the cell ID for mixes.
+	// RunError labels carry the workload name for single-core cells and
+	// the cell ID for mixes.
 	label := c.ID
 	if !c.isMix() {
 		label = c.Workload.Name

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -33,14 +32,14 @@ func TestMatrixDeterminism(t *testing.T) {
 	o := Options{Warmup: 5_000, Instrs: 10_000, Campaign: []campaign.Option{campaign.WithWorkers(4)}}
 
 	campaign := func() Matrix {
-		rep, err := RunMatrixCtx(context.Background(), o, wls, scens)
+		m, rep, err := runMatrix(o, wls, scens)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !rep.Complete() {
 			t.Fatal(rep.Err())
 		}
-		return rep.Matrix
+		return m
 	}
 	a, b := campaign(), campaign()
 	for scen, cells := range a {

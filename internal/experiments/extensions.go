@@ -267,9 +267,6 @@ func Fig19(o Options, cores, mixes int) (*Fig19Result, error) {
 		}
 	}
 	crep, err := campaign.Run(o.ctx(), campaign.Spec{Name: "fig19", Cells: cells}, o.Campaign...)
-	if crep != nil && o.Totals != nil {
-		o.Totals.Add(crep)
-	}
 	if err != nil {
 		return nil, err
 	}

@@ -48,13 +48,10 @@ type Options struct {
 	// WithEvents (typed execution event stream). Applied verbatim to every
 	// matrix the experiment runs.
 	Campaign []campaign.Option
-	// Watchdog overrides the simulator's forward-progress watchdog for
-	// every run of the experiment (zero value = simulator defaults).
-	Watchdog sim.WatchdogConfig
 	// Check enables the differential oracle and runtime invariant checker
 	// for every run of the experiment (zero value = checks off). Violations
-	// land in the failure ledger under the "check" stage; see
-	// MatrixReport.CheckFailures.
+	// land in the campaign's failure ledger as *sim.RunError entries with
+	// stage "check" (sim.CheckFailure extracts the violations).
 	Check sim.CheckConfig
 	// Sample enables interval-sampled simulation for every run of the
 	// experiment (zero value = full detail). The sampling parameters are
@@ -62,13 +59,9 @@ type Options struct {
 	// results never alias in the campaign cache.
 	Sample sim.SampleConfig
 	// Configure, when non-nil, mutates each job's configuration after the
-	// scenario has been applied — the hook fault-injection tests and
-	// per-workload overrides use.
+	// scenario has been applied — the hook fault-injection tests,
+	// watchdog overrides and per-workload overrides use.
 	Configure func(cfg *sim.Config, scenario string, wl trace.Workload)
-	// Totals, when non-nil, accumulates campaign cache accounting
-	// (simulated / cache-hit / failed cells) across every matrix the
-	// experiment runs; cmd/experiments prints it after each experiment.
-	Totals *campaign.Totals
 }
 
 func (o Options) withDefaults() Options {
@@ -90,7 +83,6 @@ func baseConfig(o Options) sim.Config {
 	cfg.WarmupInstrs = o.Warmup
 	cfg.SimInstrs = o.Instrs
 	cfg.L1DPrefetcher = o.Prefetcher
-	cfg.Watchdog = o.Watchdog
 	cfg.Check = o.Check
 	cfg.Sample = o.Sample
 	return cfg
@@ -151,96 +143,26 @@ func scenarioDripper() Scenario {
 // Matrix holds runs indexed by scenario name then workload name.
 type Matrix map[string]map[string]*stats.Run
 
-// RunFailure is one failure-ledger entry: which (scenario, workload) pair
-// failed, with what error, after how many attempts.
-type RunFailure struct {
-	Scenario, Workload string
-	Attempts           int
-	Err                error
-}
-
-// MatrixReport is the outcome of a resilient matrix campaign: every run
-// that completed, plus an explicit per-(scenario, workload) failure ledger.
-// One poisoned workload degrades coverage instead of destroying it.
-type MatrixReport struct {
-	Matrix   Matrix
-	Failures []RunFailure
-	Total    int // runs attempted = len(scenarios) × len(workloads)
-	// CacheHits and Simulated partition the completed runs by provenance:
-	// served from the content-addressed result cache, or actually
-	// simulated. Without campaign.WithCache every completed run is
-	// Simulated.
-	CacheHits, Simulated int
-}
-
-// Complete reports whether every run succeeded.
-func (r *MatrixReport) Complete() bool { return len(r.Failures) == 0 }
-
-// Err aggregates the failure ledger into one error (nil when complete).
-func (r *MatrixReport) Err() error {
-	if len(r.Failures) == 0 {
-		return nil
-	}
-	f := r.Failures[0]
-	return fmt.Errorf("experiments: %d/%d runs failed (first: %s/%s after %d attempt(s): %w)",
-		len(r.Failures), r.Total, f.Scenario, f.Workload, f.Attempts, f.Err)
-}
-
-// CheckFailures returns the ledger entries caused by oracle/invariant
-// violations (RunError stage "check"), distinguishing simulator-correctness
-// failures from environmental ones (stalls, panics, timeouts). A checked
-// campaign is trustworthy only when this slice is empty.
-func (r *MatrixReport) CheckFailures() []RunFailure {
-	var out []RunFailure
-	for _, f := range r.Failures {
-		if sim.CheckFailure(f.Err) != nil {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// FailedWorkloads returns the distinct workload names in the ledger, sorted.
-func (r *MatrixReport) FailedWorkloads() []string {
-	set := map[string]bool{}
-	for _, f := range r.Failures {
-		set[f.Workload] = true
-	}
-	out := make([]string, 0, len(set))
-	for w := range set {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// RunMatrix simulates every workload under every scenario, in parallel.
-// Unlike the report variant it folds the failure ledger into a single
-// error, but it still returns the completed portion of the matrix alongside
-// that error so callers can salvage partial campaigns.
-func RunMatrix(o Options, wls []trace.Workload, scens []Scenario) (Matrix, error) {
-	rep, err := RunMatrixCtx(o.ctx(), o, wls, scens)
-	if err != nil {
-		return rep.Matrix, err
-	}
-	return rep.Matrix, rep.Err()
-}
-
-// RunMatrixCtx simulates every workload under every scenario as one
+// RunMatrix simulates every workload under every scenario as one
 // campaign: each (scenario, workload) pair becomes a cell of a dependency-
-// free DAG executed on the campaign engine's worker pool, with the
-// engine's fault isolation (a panicking or erroring run becomes a typed
-// failure-ledger entry; retryable failures retry with backoff per
-// campaign.WithRetries) and, per the other Options.Campaign options, its
-// content-addressed result cache, which checkpoints every completed run.
-// The returned error is non-nil only when ctx itself is cancelled or
-// expires (or the cache is unusable); the report then holds whatever completed
-// before teardown.
-func RunMatrixCtx(ctx context.Context, o Options, wls []trace.Workload, scens []Scenario) (*MatrixReport, error) {
-	o = o.withDefaults()
-	if ctx == nil {
-		ctx = context.Background()
+// free DAG on the campaign engine's worker pool, with the engine's fault
+// isolation, retries and result cache as Options.Campaign configures them.
+// It folds the campaign's failure ledger into one error but still returns
+// the completed portion of the matrix alongside it, so callers can salvage
+// partial campaigns. A cancelled Options.Ctx returns the ctx error.
+func RunMatrix(o Options, wls []trace.Workload, scens []Scenario) (Matrix, error) {
+	m, rep, err := runMatrix(o, wls, scens)
+	if err == nil {
+		err = rep.Err()
 	}
+	return m, err
+}
+
+// runMatrix is RunMatrix with the campaign's own report (failure ledger,
+// cache accounting) alongside the matrix; rep is nil only when the
+// campaign could not start.
+func runMatrix(o Options, wls []trace.Workload, scens []Scenario) (Matrix, *campaign.Report, error) {
+	o = o.withDefaults()
 	spec := campaign.Spec{Name: "matrix", Cells: make([]campaign.Cell, 0, len(scens)*len(wls))}
 	for _, sc := range scens {
 		for _, wl := range wls {
@@ -254,36 +176,19 @@ func RunMatrixCtx(ctx context.Context, o Options, wls []trace.Workload, scens []
 			})
 		}
 	}
-	rep := &MatrixReport{Matrix: Matrix{}, Total: len(spec.Cells)}
-	crep, err := campaign.Run(ctx, spec, o.Campaign...)
-	if crep == nil {
-		return rep, err
+	m := Matrix{}
+	rep, err := campaign.Run(o.ctx(), spec, o.Campaign...)
+	if rep == nil {
+		return m, nil, err
 	}
-	if o.Totals != nil {
-		o.Totals.Add(crep)
-	}
-	rep.CacheHits, rep.Simulated = crep.CacheHits, crep.Simulated
-	for id, run := range crep.Runs {
+	for id, run := range rep.Runs {
 		scen, wl := splitCellID(id)
-		if rep.Matrix[scen] == nil {
-			rep.Matrix[scen] = map[string]*stats.Run{}
+		if m[scen] == nil {
+			m[scen] = map[string]*stats.Run{}
 		}
-		rep.Matrix[scen][wl] = run
+		m[scen][wl] = run
 	}
-	for _, f := range crep.Failures {
-		scen, wl := splitCellID(f.ID)
-		rep.Failures = append(rep.Failures, RunFailure{
-			Scenario: scen, Workload: wl, Attempts: f.Attempts, Err: f.Err,
-		})
-	}
-	sort.Slice(rep.Failures, func(i, j int) bool {
-		a, b := rep.Failures[i], rep.Failures[j]
-		if a.Scenario != b.Scenario {
-			return a.Scenario < b.Scenario
-		}
-		return a.Workload < b.Workload
-	})
-	return rep, err
+	return m, rep, err
 }
 
 // cellID names the campaign cell for one (scenario, workload) pair.
@@ -301,33 +206,16 @@ func splitCellID(id string) (scenario, workload string) {
 
 // Speedups returns the per-workload IPC speedups of scenario over base,
 // ordered like wls, along with the matching weights. Any missing pair is an
-// error naming every missing workload; degraded matrices should use
-// SpeedupsAvailable instead.
+// error naming every missing workload, so published numbers never come
+// from a partial matrix.
 func (m Matrix) Speedups(scen, base string, wls []trace.Workload) (sp, weights []float64, err error) {
-	sp, weights, missing := m.SpeedupsAvailable(scen, base, wls)
-	if m[scen] == nil || m[base] == nil {
+	s, b := m[scen], m[base]
+	if s == nil || b == nil {
 		return nil, nil, fmt.Errorf("experiments: scenario %q or %q missing", scen, base)
 	}
-	if len(missing) > 0 {
-		return nil, nil, fmt.Errorf("experiments: %s vs %s: %d run(s) missing: %s",
-			scen, base, len(missing), strings.Join(missing, ", "))
-	}
-	return sp, weights, nil
-}
-
-// SpeedupsAvailable is Speedups over the pairs present under both
-// scenarios: missing workloads are skipped and reported by name instead of
-// failing the reduction — the degraded-matrix accessor.
-func (m Matrix) SpeedupsAvailable(scen, base string, wls []trace.Workload) (sp, weights []float64, missing []string) {
-	s, b := m[scen], m[base]
+	var missing []string
 	for _, w := range wls {
-		var rs, rb *stats.Run
-		if s != nil {
-			rs = s[w.Name]
-		}
-		if b != nil {
-			rb = b[w.Name]
-		}
+		rs, rb := s[w.Name], b[w.Name]
 		if rs == nil || rb == nil {
 			missing = append(missing, w.Name)
 			continue
@@ -335,7 +223,11 @@ func (m Matrix) SpeedupsAvailable(scen, base string, wls []trace.Workload) (sp, 
 		sp = append(sp, stats.Speedup(rs, rb))
 		weights = append(weights, w.Weight)
 	}
-	return sp, weights, missing
+	if len(missing) > 0 {
+		return nil, nil, fmt.Errorf("experiments: %s vs %s: %d run(s) missing: %s",
+			scen, base, len(missing), strings.Join(missing, ", "))
+	}
+	return sp, weights, nil
 }
 
 // Geomean returns the weighted geomean speedup of scen over base,
@@ -346,18 +238,6 @@ func (m Matrix) Geomean(scen, base string, wls []trace.Workload) (float64, error
 		return 0, err
 	}
 	return stats.WeightedGeomean(sp, w)
-}
-
-// GeomeanAvailable returns the weighted geomean speedup over the surviving
-// workloads of a degraded matrix, along with the names skipped. It errors
-// only when no pair at all survives.
-func (m Matrix) GeomeanAvailable(scen, base string, wls []trace.Workload) (g float64, missing []string, err error) {
-	sp, w, missing := m.SpeedupsAvailable(scen, base, wls)
-	if len(sp) == 0 {
-		return 0, missing, fmt.Errorf("experiments: no surviving (%s, %s) pairs over %d workloads", scen, base, len(wls))
-	}
-	g, err = stats.WeightedGeomean(sp, w)
-	return g, missing, err
 }
 
 // bySuite groups workloads by suite name, sorted.

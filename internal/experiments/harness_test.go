@@ -40,7 +40,8 @@ func sevenScenarios() []Scenario {
 
 // TestDegradedMatrixSurvivesPoisonedWorkload is the acceptance scenario: a
 // 7-scenario matrix with one workload whose trace decoder panics must still
-// return every other (scenario, workload) pair plus an explicit ledger.
+// return every other (scenario, workload) pair, with the poisoned pairs in
+// the campaign's failure ledger.
 func TestDegradedMatrixSurvivesPoisonedWorkload(t *testing.T) {
 	good := tinySet(t)[:2]
 	poisoned := poisonedWorkload(t)
@@ -54,7 +55,7 @@ func TestDegradedMatrixSurvivesPoisonedWorkload(t *testing.T) {
 		}
 	}
 
-	rep, err := RunMatrixCtx(context.Background(), o, wls, scens)
+	m, rep, err := runMatrix(o, wls, scens)
 	if err != nil {
 		t.Fatalf("campaign-level error: %v", err)
 	}
@@ -67,7 +68,7 @@ func TestDegradedMatrixSurvivesPoisonedWorkload(t *testing.T) {
 
 	// Every non-poisoned pair completed.
 	for _, sc := range scens {
-		runs := rep.Matrix[sc.Name]
+		runs := m[sc.Name]
 		if runs == nil {
 			t.Fatalf("scenario %s missing entirely", sc.Name)
 		}
@@ -81,54 +82,43 @@ func TestDegradedMatrixSurvivesPoisonedWorkload(t *testing.T) {
 		}
 	}
 
-	// The ledger lists exactly the poisoned pairs, as recovered panics.
-	if len(rep.Failures) != len(scens) {
-		t.Fatalf("ledger has %d entries, want %d: %+v", len(rep.Failures), len(scens), rep.Failures)
+	// The ledger lists exactly the poisoned pairs, once per scenario, as
+	// recovered panics.
+	want := map[string]bool{}
+	for _, sc := range scens {
+		want[cellID(sc.Name, poisoned.Name)] = true
+	}
+	if len(rep.Failures) != len(want) {
+		t.Fatalf("ledger has %d entries, want %d: %+v", len(rep.Failures), len(want), rep.Failures)
 	}
 	for _, f := range rep.Failures {
-		if f.Workload != poisoned.Name {
-			t.Fatalf("unexpected failure %s/%s: %v", f.Scenario, f.Workload, f.Err)
+		if !want[f.ID] {
+			t.Fatalf("unexpected failure %s: %v", f.ID, f.Err)
 		}
+		delete(want, f.ID)
 		var re *sim.RunError
 		if !errors.As(f.Err, &re) || !re.Panicked {
-			t.Fatalf("failure %s/%s is not a recovered panic: %v", f.Scenario, f.Workload, f.Err)
+			t.Fatalf("failure %s is not a recovered panic: %v", f.ID, f.Err)
 		}
-	}
-	if fw := rep.FailedWorkloads(); len(fw) != 1 || fw[0] != poisoned.Name {
-		t.Fatalf("failed workloads = %v", fw)
 	}
 	if rep.Err() == nil {
 		t.Fatal("aggregated error missing")
 	}
 
-	// Degraded reductions: the strict accessor names the missing pair, the
-	// Available accessors compute over the survivors.
-	if _, _, err := rep.Matrix.Speedups("Permit PGC", "Discard PGC", wls); err == nil {
+	// The strict reduction names the missing pair; over the survivors it
+	// computes.
+	if _, _, err := m.Speedups("Permit PGC", "Discard PGC", wls); err == nil {
 		t.Fatal("strict Speedups accepted a degraded matrix")
 	} else if !strings.Contains(err.Error(), poisoned.Name) {
 		t.Fatalf("strict Speedups error does not name the missing pair: %v", err)
 	}
-	sp, weights, missing := rep.Matrix.SpeedupsAvailable("Permit PGC", "Discard PGC", wls)
-	if len(sp) != len(good) || len(weights) != len(good) {
-		t.Fatalf("surviving speedups = %d, want %d", len(sp), len(good))
-	}
-	if len(missing) != 1 || missing[0] != poisoned.Name {
-		t.Fatalf("missing = %v", missing)
-	}
-	g, missing, err := rep.Matrix.GeomeanAvailable("Permit PGC", "Discard PGC", wls)
-	if err != nil {
-		t.Fatalf("degraded geomean: %v", err)
-	}
-	if g <= 0 {
-		t.Fatalf("degraded geomean = %g", g)
-	}
-	if len(missing) != 1 {
-		t.Fatalf("geomean missing = %v", missing)
+	if sp, weights, err := m.Speedups("Permit PGC", "Discard PGC", good); err != nil || len(sp) != len(good) || len(weights) != len(good) {
+		t.Fatalf("speedups over the survivors = %v, %v, %v", sp, weights, err)
 	}
 }
 
-// TestRunMatrixReturnsPartialOnError pins the satellite fix: the one-shot
-// wrapper must return the completed portion alongside the aggregated error.
+// TestRunMatrixReturnsPartialOnError: RunMatrix returns the completed
+// portion alongside the folded ledger error, which names a failed cell.
 func TestRunMatrixReturnsPartialOnError(t *testing.T) {
 	good := tinySet(t)[:1]
 	poisoned := poisonedWorkload(t)
@@ -144,6 +134,10 @@ func TestRunMatrixReturnsPartialOnError(t *testing.T) {
 	if err == nil {
 		t.Fatal("poisoned matrix returned no error")
 	}
+	var re *sim.RunError
+	if !errors.As(err, &re) || !strings.Contains(err.Error(), poisoned.Name) {
+		t.Fatalf("folded error does not carry the failed cell: %v", err)
+	}
 	if m == nil {
 		t.Fatal("completed portion dropped")
 	}
@@ -154,17 +148,17 @@ func TestRunMatrixReturnsPartialOnError(t *testing.T) {
 	}
 }
 
-func TestRunMatrixCtxCancellationIsPrompt(t *testing.T) {
+func TestRunMatrixCancellationIsPrompt(t *testing.T) {
 	wls := tinySet(t)
-	o := Options{Warmup: 0, Instrs: 2_000_000_000, Campaign: []campaign.Option{campaign.WithWorkers(2)}}
-
 	ctx, cancel := context.WithCancel(context.Background())
+	o := Options{Warmup: 0, Instrs: 2_000_000_000, Ctx: ctx, Campaign: []campaign.Option{campaign.WithWorkers(2)}}
+
 	go func() {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	rep, err := RunMatrixCtx(ctx, o, wls, sevenScenarios())
+	_, rep, err := runMatrix(o, wls, sevenScenarios())
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -180,7 +174,7 @@ func TestRunMatrixCtxCancellationIsPrompt(t *testing.T) {
 	}
 	// Cancelled runs are not individual failures.
 	for _, f := range rep.Failures {
-		t.Fatalf("cancellation produced ledger entry %s/%s: %v", f.Scenario, f.Workload, f.Err)
+		t.Fatalf("cancellation produced ledger entry %s: %v", f.ID, f.Err)
 	}
 }
 
@@ -192,14 +186,14 @@ func TestRunMatrixRetriesTransientFailures(t *testing.T) {
 	o.Configure = func(cfg *sim.Config, scenario string, wl trace.Workload) {
 		cfg.FaultInject = inj
 	}
-	rep, err := RunMatrixCtx(context.Background(), o, wls, []Scenario{scenarioDiscard()})
+	m, rep, err := runMatrix(o, wls, []Scenario{scenarioDiscard()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Complete() {
 		t.Fatalf("transient failures not absorbed: %+v", rep.Failures)
 	}
-	if rep.Matrix["Discard PGC"][wls[0].Name] == nil {
+	if m["Discard PGC"][wls[0].Name] == nil {
 		t.Fatal("run missing after retries")
 	}
 	if inj.Attempts() != 3 {
@@ -212,11 +206,11 @@ func TestRunMatrixDoesNotRetryDeterministicStalls(t *testing.T) {
 	inj := faultinject.New(faultinject.Config{StallRetireAfter: 2_000})
 	o := poisonOpts()
 	o.Campaign = append(o.Campaign, campaign.WithRetries(5, time.Millisecond))
-	o.Watchdog = sim.WatchdogConfig{NoRetireBound: 20_000, PollEvery: 1_000}
 	o.Configure = func(cfg *sim.Config, scenario string, wl trace.Workload) {
 		cfg.FaultInject = inj
+		cfg.Watchdog = sim.WatchdogConfig{NoRetireBound: 20_000, PollEvery: 1_000}
 	}
-	rep, err := RunMatrixCtx(context.Background(), o, wls, []Scenario{scenarioDiscard()})
+	_, rep, err := runMatrix(o, wls, []Scenario{scenarioDiscard()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,9 +229,10 @@ func TestRunMatrixDoesNotRetryDeterministicStalls(t *testing.T) {
 
 // TestMatrixLedgersCheckViolations pins the checker/ledger integration: an
 // injected MSHR leak on one workload of a checked matrix must land in the
-// failure ledger as a RunError with stage "check" wrapping a *sim.CheckError
-// — never as a generic recovered panic — for both FailFast (panic unwind)
-// and accumulate (returned error) modes, and CheckFailures must isolate
+// campaign's failure ledger as a RunError with stage "check" wrapping a
+// *sim.CheckError — never as a generic recovered panic — both when
+// FailFast returns the first violating poll's error early and when the
+// violations accumulate until the run ends. sim.CheckFailure must pick out
 // exactly those entries.
 func TestMatrixLedgersCheckViolations(t *testing.T) {
 	for _, failFast := range []bool{false, true} {
@@ -258,33 +253,30 @@ func TestMatrixLedgersCheckViolations(t *testing.T) {
 				}
 			}
 
-			rep, err := RunMatrixCtx(context.Background(), o, wls, []Scenario{scenarioDiscard(), scenarioDripper()})
+			m, rep, err := runMatrix(o, wls, []Scenario{scenarioDiscard(), scenarioDripper()})
 			if err != nil {
 				t.Fatalf("campaign-level error: %v", err)
 			}
 			// Healthy pairs completed under full checking.
 			for _, sc := range []string{"Discard PGC", "DRIPPER"} {
-				if rep.Matrix[sc][good[0].Name] == nil {
+				if m[sc][good[0].Name] == nil {
 					t.Fatalf("checked run %s/%s missing", sc, good[0].Name)
 				}
 			}
-			cf := rep.CheckFailures()
-			if len(cf) != 2 || len(cf) != len(rep.Failures) {
-				t.Fatalf("check failures = %d of %d ledger entries, want 2 of 2: %+v",
-					len(cf), len(rep.Failures), rep.Failures)
+			if len(rep.Failures) != 2 {
+				t.Fatalf("ledger has %d entries, want 2: %+v", len(rep.Failures), rep.Failures)
 			}
-			for _, f := range cf {
-				if f.Workload != leaky.Name {
-					t.Fatalf("unexpected check failure %s/%s: %v", f.Scenario, f.Workload, f.Err)
+			for _, f := range rep.Failures {
+				if _, wl := splitCellID(f.ID); wl != leaky.Name {
+					t.Fatalf("unexpected check failure %s: %v", f.ID, f.Err)
 				}
 				var re *sim.RunError
 				if !errors.As(f.Err, &re) || re.Stage != "check" || re.Panicked {
-					t.Fatalf("failure %s/%s not ledgered as a non-panic check stage: %+v",
-						f.Scenario, f.Workload, re)
+					t.Fatalf("failure %s not ledgered as a non-panic check stage: %+v", f.ID, re)
 				}
 				ce := sim.CheckFailure(f.Err)
 				if ce == nil || ce.First().Invariant != "mshr-leak" {
-					t.Fatalf("failure %s/%s lost the violation detail: %v", f.Scenario, f.Workload, f.Err)
+					t.Fatalf("failure %s lost the violation detail: %v", f.ID, f.Err)
 				}
 				if sim.Retryable(f.Err) {
 					t.Fatal("an invariant violation must not be retried")

@@ -282,7 +282,8 @@ func TestCheckedMulticore(t *testing.T) {
 }
 
 // TestCheckedMulticoreCatchesInjectedLeak proves the multi-core sweep path
-// surfaces a per-core violation.
+// surfaces a per-core violation, labelled like a single-core run's: a
+// *RunError at stage "check" wrapping the *CheckError.
 func TestCheckedMulticoreCatchesInjectedLeak(t *testing.T) {
 	mc := DefaultMultiConfig()
 	mc.Cores = 2
@@ -298,5 +299,9 @@ func TestCheckedMulticoreCatchesInjectedLeak(t *testing.T) {
 	_, err = m.RunMix(context.Background(), []trace.Workload{w, w})
 	if CheckFailure(err) == nil {
 		t.Fatalf("checked mix returned %v, want a CheckError", err)
+	}
+	var re *RunError
+	if !errors.As(err, &re) || re.Stage != "check" || re.Workload != w.Name {
+		t.Fatalf("checked mix returned %v, want a RunError at stage check for %s", err, w.Name)
 	}
 }

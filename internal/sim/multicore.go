@@ -128,7 +128,7 @@ func (m *MultiSystem) RunMix(ctx context.Context, mix []trace.Workload) (runs []
 			sys.Core.Attach(readers[i], per.WarmupInstrs)
 		}
 		if err := drive(ctx, m.Systems, m.cfg.QuantumCycles, wd, nil); err != nil {
-			return nil, err
+			return nil, &RunError{Workload: mix[0].Name, Stage: runStage("warmup", err), Err: err}
 		}
 	}
 	for _, sys := range m.Systems {
@@ -159,7 +159,7 @@ func (m *MultiSystem) RunMix(ctx context.Context, mix []trace.Workload) (runs []
 		sys.Core.Attach(readers[i], per.SimInstrs)
 		return false
 	}); err != nil {
-		return nil, err
+		return nil, &RunError{Workload: mix[0].Name, Stage: runStage("measure", err), Err: err}
 	}
 	return runs, nil
 }
