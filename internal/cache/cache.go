@@ -375,17 +375,15 @@ func (c *Cache) access(req *Request, cycle uint64) uint64 {
 	line := req.PA.LineID()
 	fi := c.mshrs.find(line)
 	if fi >= 0 && cycle >= c.mshrs.entries[fi].issue {
-		fl := &c.mshrs.entries[fi]
 		if demand {
 			c.Stats.DemandMisses++
-			fl.demandMerge = true
 			if wi >= 0 {
 				c.serveDemand(req, base+uint64(wi))
 			}
 		} else if req.Type == mem.Prefetch {
 			c.Stats.PrefetchHits++
 		}
-		ready := fl.ready
+		ready := c.mshrs.entries[fi].ready
 		if min := cycle + c.cfg.Latency; ready < min {
 			ready = min
 		}
@@ -418,12 +416,7 @@ func (c *Cache) access(req *Request, cycle uint64) uint64 {
 	c.lowReq = *req
 	ready := c.lower.Access(&c.lowReq, issue+c.cfg.Latency)
 
-	fl := mshr{
-		issue:       issue,
-		ready:       ready,
-		pageCross:   req.IsPageCross && req.Type == mem.Prefetch,
-		demandMerge: demand,
-	}
+	fl := mshr{issue: issue, ready: ready}
 	// A line whose fill is already in flight (issued after this access's
 	// cycle) is re-issued in place, so the file never holds one line twice.
 	if fi >= 0 {
@@ -446,7 +439,7 @@ func (c *Cache) access(req *Request, cycle uint64) uint64 {
 			wi = c.victimFull(si)
 		}
 	}
-	c.fill(req, &fl, si, wi, tag, issue, ready)
+	c.fill(req, si, wi, tag, issue, ready, req.IsPageCross && req.Type == mem.Prefetch, demand)
 	return ready
 }
 
@@ -529,8 +522,10 @@ func (c *Cache) install(si uint64, wi int, tag uint64, st uint8) {
 // way is valid. The caller passes the way already holding the line when
 // there is one (a demand overtook a not-yet-issued prefetch, or vice versa),
 // so the block is replaced in place and a set never holds two copies of one
-// tag; otherwise the first empty way or the policy's victim.
-func (c *Cache) fill(req *Request, fl *mshr, si uint64, wi int, tag, issue, ready uint64) {
+// tag; otherwise the first empty way or the policy's victim. pageCross
+// marks a page-cross prefetch; demand marks a demand fill, whose block has
+// served its access.
+func (c *Cache) fill(req *Request, si uint64, wi int, tag, issue, ready uint64, pageCross, demand bool) {
 	i := si*uint64(c.cfg.Ways) + uint64(wi)
 	if c.tags[i] != invalidTag {
 		c.evict(si, i)
@@ -543,17 +538,17 @@ func (c *Cache) fill(req *Request, fl *mshr, si uint64, wi int, tag, issue, read
 	if isPrefetch {
 		st |= stPrefetch
 	}
-	if fl.pageCross {
+	if pageCross {
 		st |= stPageCross
 	}
-	if fl.demandMerge && !isPrefetch {
+	if demand && !isPrefetch {
 		st |= stServedHit
 	}
 	c.install(si, wi, tag, st)
 	c.times[i] = timing{issue: issue, ready: ready}
 	if isPrefetch {
 		c.Stats.PrefetchFills++
-		if fl.pageCross {
+		if pageCross {
 			c.Stats.PGCIssued++
 		}
 	}

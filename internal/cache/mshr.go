@@ -5,10 +5,8 @@ import "fmt"
 // mshr is one MSHR: a fill in flight at this level. The line it fetches and
 // its retirement cycle are kept in the file's packed rows.
 type mshr struct {
-	issue       uint64 // cycle the fill request entered this level
-	ready       uint64
-	pageCross   bool
-	demandMerge bool // a demand access merged while in flight
+	issue uint64 // cycle the fill request entered this level
+	ready uint64
 }
 
 // leakedReady is the ready-row value of an entry whose release was lost:

@@ -122,7 +122,7 @@ func runMSHROps(t *testing.T, ops []byte) {
 		switch op {
 		case 0, 1, 2: // a fill: re-issued in place when its line is held
 			now += uint64(b % 8)
-			e := mshr{issue: now, ready: now + 1 + uint64(b)*3, pageCross: b&1 != 0, demandMerge: b&2 != 0}
+			e := mshr{issue: now, ready: now + 1 + uint64(b)*3}
 			if i := ref.find(line); i >= 0 {
 				ref.reissue(i, e)
 				f.reissue(f.find(line), e)

@@ -31,12 +31,15 @@ func (r *SweepResult) Print(w io.Writer) {
 	}
 }
 
+// sweepPoint is one sweep input: the label its SweepPoint reports and the
+// config mutation both of its runs apply.
+type sweepPoint struct {
+	label  string
+	mutate func(*sim.Config)
+}
+
 // sweep runs DRIPPER vs Discard under a sequence of config mutations.
-func sweep(o Options, wls []trace.Workload, title string,
-	points []struct {
-		label  string
-		mutate func(*sim.Config)
-	}) (*SweepResult, error) {
+func sweep(o Options, wls []trace.Workload, title string, points []sweepPoint) (*SweepResult, error) {
 	o = o.withDefaults()
 	if wls == nil {
 		wls = Sample(trace.Seen(), o.MaxWorkloads)
@@ -70,16 +73,10 @@ func sweep(o Options, wls []trace.Workload, title string,
 // EpochSweep measures the adaptive thresholding scheme's sensitivity to the
 // epoch length (instructions per Tick).
 func EpochSweep(o Options, wls []trace.Workload) (*SweepResult, error) {
-	var points []struct {
-		label  string
-		mutate func(*sim.Config)
-	}
+	var points []sweepPoint
 	for _, epoch := range []uint64{5_000, 20_000, 80_000} {
 		e := epoch
-		points = append(points, struct {
-			label  string
-			mutate func(*sim.Config)
-		}{fmt.Sprintf("epoch=%d", e), func(c *sim.Config) { c.Core.EpochInstrs = e }})
+		points = append(points, sweepPoint{fmt.Sprintf("epoch=%d", e), func(c *sim.Config) { c.Core.EpochInstrs = e }})
 	}
 	return sweep(o, wls, "Ablation: DRIPPER gain vs adaptive-scheme epoch length", points)
 }
@@ -87,16 +84,10 @@ func EpochSweep(o Options, wls []trace.Workload) (*SweepResult, error) {
 // STLBSweep measures DRIPPER's gain as sTLB capacity varies — smaller sTLBs
 // make page-cross prefetching (and mis-prefetching) matter more.
 func STLBSweep(o Options, wls []trace.Workload) (*SweepResult, error) {
-	var points []struct {
-		label  string
-		mutate func(*sim.Config)
-	}
+	var points []sweepPoint
 	for _, sets := range []int{32, 128, 512} {
 		s := sets
-		points = append(points, struct {
-			label  string
-			mutate func(*sim.Config)
-		}{fmt.Sprintf("stlb=%d", s*12), func(c *sim.Config) {
+		points = append(points, sweepPoint{fmt.Sprintf("stlb=%d", s*12), func(c *sim.Config) {
 			c.MMU.STLB = tlb.Config{Name: "stlb", Sets: s, Ways: 12, Latency: 8}
 		}})
 	}
@@ -105,16 +96,10 @@ func STLBSweep(o Options, wls []trace.Workload) (*SweepResult, error) {
 
 // DegreeSweep measures sensitivity to the prefetch degree cap.
 func DegreeSweep(o Options, wls []trace.Workload) (*SweepResult, error) {
-	var points []struct {
-		label  string
-		mutate func(*sim.Config)
-	}
+	var points []sweepPoint
 	for _, deg := range []int{1, 2, 4, 8} {
 		d := deg
-		points = append(points, struct {
-			label  string
-			mutate func(*sim.Config)
-		}{fmt.Sprintf("degree=%d", d), func(c *sim.Config) { c.MaxPrefetchDegree = d }})
+		points = append(points, sweepPoint{fmt.Sprintf("degree=%d", d), func(c *sim.Config) { c.MaxPrefetchDegree = d }})
 	}
 	return sweep(o, wls, "Ablation: DRIPPER gain vs prefetch degree cap", points)
 }
@@ -122,16 +107,10 @@ func DegreeSweep(o Options, wls []trace.Workload) (*SweepResult, error) {
 // VUBSweep measures the contribution of the Virtual Update Buffer's
 // false-negative recovery as its capacity varies.
 func VUBSweep(o Options, wls []trace.Workload) (*SweepResult, error) {
-	var points []struct {
-		label  string
-		mutate func(*sim.Config)
-	}
+	var points []sweepPoint
 	for _, entries := range []int{1, 4, 32} {
 		e := entries
-		points = append(points, struct {
-			label  string
-			mutate func(*sim.Config)
-		}{fmt.Sprintf("vUB=%d", e), func(c *sim.Config) {
+		points = append(points, sweepPoint{fmt.Sprintf("vUB=%d", e), func(c *sim.Config) {
 			fc := core.DefaultDripperConfig(c.L1DPrefetcher)
 			fc.VUBEntries = e
 			c.FilterConfig = &fc

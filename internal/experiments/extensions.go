@@ -125,12 +125,11 @@ func (r *Fig17Result) Print(w io.Writer) {
 // Fig18 runs the unseen-workload study (Figure 18): the Fig. 10 s-curve on
 // the 178 workloads DRIPPER was not designed against.
 func Fig18(o Options, wls []trace.Workload) (*Fig10Result, error) {
-	o = o.withDefaults()
 	o.Prefetcher = "berti"
 	if wls == nil {
 		wls = Sample(trace.Unseen(), o.MaxWorkloads)
 	}
-	m, err := RunMatrix(o, wls, []Scenario{scenarioDiscard(), scenarioPermit(), scenarioDripper()})
+	m, wls, err := runPolicies(o, wls)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +146,6 @@ type Table5Result struct {
 
 // Table5 runs the three-set summary.
 func Table5(o Options) (*Table5Result, error) {
-	o = o.withDefaults()
 	o.Prefetcher = "berti"
 	sets := map[string][]trace.Workload{
 		"seen":   Sample(trace.Seen(), o.MaxWorkloads),
@@ -158,9 +156,8 @@ func Table5(o Options) (*Table5Result, error) {
 	sets["all"] = all
 
 	res := &Table5Result{Geomean: map[string]map[string]float64{}}
-	scens := []Scenario{scenarioDiscard(), scenarioPermit(), scenarioDripper()}
 	// Run each distinct workload once per scenario, then reduce per set.
-	m, err := RunMatrix(o, dedupe(all), scens)
+	m, _, err := runPolicies(o, dedupe(all))
 	if err != nil {
 		return nil, err
 	}

@@ -140,6 +140,17 @@ func scenarioDripper() Scenario {
 	return Scenario{"DRIPPER", func(c *sim.Config) { c.Policy = sim.PolicyDripper }}
 }
 
+// runPolicies runs the matrix most figures reduce: every workload under
+// Discard PGC, Permit PGC and DRIPPER. nil wls means the sampled seen set,
+// which it returns alongside the matrix.
+func runPolicies(o Options, wls []trace.Workload) (Matrix, []trace.Workload, error) {
+	if wls == nil {
+		wls = Sample(trace.Seen(), o.MaxWorkloads)
+	}
+	m, err := RunMatrix(o, wls, []Scenario{scenarioDiscard(), scenarioPermit(), scenarioDripper()})
+	return m, wls, err
+}
+
 // Matrix holds runs indexed by scenario name then workload name.
 type Matrix map[string]map[string]*stats.Run
 
@@ -258,6 +269,18 @@ func sortedCopy(xs []float64) []float64 {
 	out := append([]float64(nil), xs...)
 	sort.Float64s(out)
 	return out
+}
+
+// mean returns the arithmetic mean of xs, or 0 for none.
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
 }
 
 // pct formats a speedup as a percentage gain.

@@ -87,12 +87,8 @@ type Fig10Result struct {
 
 // Fig10 runs the Berti case study.
 func Fig10(o Options, wls []trace.Workload) (*Fig10Result, error) {
-	o = o.withDefaults()
 	o.Prefetcher = "berti"
-	if wls == nil {
-		wls = Sample(trace.Seen(), o.MaxWorkloads)
-	}
-	m, err := RunMatrix(o, wls, []Scenario{scenarioDiscard(), scenarioPermit(), scenarioDripper()})
+	m, wls, err := runPolicies(o, wls)
 	if err != nil {
 		return nil, err
 	}
@@ -182,15 +178,16 @@ type Fig11Result struct {
 
 // Fig11 runs the coverage/accuracy study.
 func Fig11(o Options, wls []trace.Workload) (*Fig11Result, error) {
-	o = o.withDefaults()
 	o.Prefetcher = "berti"
-	if wls == nil {
-		wls = Sample(trace.Seen(), o.MaxWorkloads)
-	}
-	m, err := RunMatrix(o, wls, []Scenario{scenarioDiscard(), scenarioPermit(), scenarioDripper()})
+	m, wls, err := runPolicies(o, wls)
 	if err != nil {
 		return nil, err
 	}
+	return newFig11Result(m, wls), nil
+}
+
+// newFig11Result reduces a {Discard, Permit, DRIPPER} matrix to Fig. 11.
+func newFig11Result(m Matrix, wls []trace.Workload) *Fig11Result {
 	suites, groups := bySuite(wls)
 	res := &Fig11Result{
 		Suites:          suites,
@@ -221,7 +218,7 @@ func Fig11(o Options, wls []trace.Workload) (*Fig11Result, error) {
 		res.OverallCoverage[sc] = covSum / float64(n)
 		res.OverallAccuracy[sc] = accSum / float64(n)
 	}
-	return res, nil
+	return res
 }
 
 // Print writes both panels.
@@ -250,15 +247,16 @@ type Fig12Result struct {
 
 // Fig12 runs the MPKI study.
 func Fig12(o Options, wls []trace.Workload) (*Fig12Result, error) {
-	o = o.withDefaults()
 	o.Prefetcher = "berti"
-	if wls == nil {
-		wls = Sample(trace.Seen(), o.MaxWorkloads)
-	}
-	m, err := RunMatrix(o, wls, []Scenario{scenarioDiscard(), scenarioPermit(), scenarioDripper()})
+	m, wls, err := runPolicies(o, wls)
 	if err != nil {
 		return nil, err
 	}
+	return newFig12Result(m, wls), nil
+}
+
+// newFig12Result reduces a {Discard, Permit, DRIPPER} matrix to Fig. 12.
+func newFig12Result(m Matrix, wls []trace.Workload) *Fig12Result {
 	res := &Fig12Result{
 		Curves:    map[string]map[string][]float64{},
 		MeanDelta: map[string]map[string]float64{},
@@ -268,17 +266,14 @@ func Fig12(o Options, wls []trace.Workload) (*Fig12Result, error) {
 		res.MeanDelta[sc] = map[string]float64{}
 		for _, st := range Fig4Structures {
 			var deltas []float64
-			sum := 0.0
 			for _, wl := range wls {
-				d := m[sc][wl.Name].MPKI(st) - m["Discard PGC"][wl.Name].MPKI(st)
-				deltas = append(deltas, d)
-				sum += d
+				deltas = append(deltas, m[sc][wl.Name].MPKI(st)-m["Discard PGC"][wl.Name].MPKI(st))
 			}
 			res.Curves[sc][st] = sortedCopy(deltas)
-			res.MeanDelta[sc][st] = sum / float64(len(deltas))
+			res.MeanDelta[sc][st] = mean(deltas)
 		}
 	}
-	return res, nil
+	return res
 }
 
 // Print writes the mean deltas.
@@ -304,7 +299,6 @@ type Fig13Result struct {
 
 // Fig13 runs the PKI distribution study.
 func Fig13(o Options, wls []trace.Workload) (*Fig13Result, error) {
-	o = o.withDefaults()
 	o.Prefetcher = "berti"
 	if wls == nil {
 		wls = Sample(trace.Seen(), o.MaxWorkloads)
@@ -313,6 +307,11 @@ func Fig13(o Options, wls []trace.Workload) (*Fig13Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newFig13Result(m, wls), nil
+}
+
+// newFig13Result reduces a matrix holding Permit PGC and DRIPPER to Fig. 13.
+func newFig13Result(m Matrix, wls []trace.Workload) *Fig13Result {
 	res := &Fig13Result{
 		UsefulPKI: map[string][]float64{}, UselessPKI: map[string][]float64{},
 		MedianUseful: map[string]float64{}, MedianUseless: map[string]float64{},
@@ -328,7 +327,7 @@ func Fig13(o Options, wls []trace.Workload) (*Fig13Result, error) {
 		res.MedianUseful[sc] = stats.Percentile(res.UsefulPKI[sc], 50)
 		res.MedianUseless[sc] = stats.Percentile(res.UselessPKI[sc], 50)
 	}
-	return res, nil
+	return res
 }
 
 // Print writes the distribution summary.

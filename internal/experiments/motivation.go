@@ -173,15 +173,7 @@ func Fig4(o Options, wls []trace.Workload) (*Fig4Result, error) {
 
 // Mean returns the mean MPKI delta for a category and structure.
 func (r *Fig4Result) Mean(category, structure string) float64 {
-	xs := r.Deltas[category][structure]
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
+	return mean(r.Deltas[category][structure])
 }
 
 // Print writes the figure's two panels.

@@ -45,109 +45,91 @@ func (r *ShapeReport) Print(w io.Writer) {
 	}
 }
 
+// shapeFigures are the figure results the claims read, all reduced from one
+// {Discard, Permit, DRIPPER} matrix run with one prefetcher.
+type shapeFigures struct {
+	prefetcher string
+	fig2       *Fig2Result // the prefetcher's gains only
+	fig10      *Fig10Result
+	fig11      *Fig11Result
+	fig12      *Fig12Result
+	fig13      *Fig13Result
+}
+
+// claim is one qualitative shape of the paper. id names it in reports;
+// figure is the EXPERIMENTS.md headline row it stands for; check decides it
+// from the reduced figures and returns the numbers it compared.
+type claim struct {
+	id, figure, text string
+	check            func(f *shapeFigures) (pass bool, detail string)
+}
+
+// claims is the one place a paper claim's rule lives: VerifyShapes,
+// `experiments -exp shapes` and TestVerifyShapes all evaluate this list, and
+// the tests restate none of its rules.
+var claims = []claim{
+	{"fig2-spread", "Fig. 2", "Permit helps some workloads and hurts others",
+		func(f *shapeFigures) (bool, string) {
+			lo, hi := f.fig2.Spread(f.prefetcher)
+			return lo < 1 && hi > 1, fmt.Sprintf("min %s max %s", pct(lo), pct(hi))
+		}},
+	{"fig9-dripper-vs-permit", "Fig. 9", "DRIPPER beats Permit PGC in geomean",
+		func(f *shapeFigures) (bool, string) {
+			d, p := f.fig10.Overall["DRIPPER"], f.fig10.Overall["Permit PGC"]
+			return d >= p, fmt.Sprintf("DRIPPER %s vs Permit %s", pct(d), pct(p))
+		}},
+	{"fig11-accuracy", "Fig. 11", "DRIPPER's accuracy delta beats Permit's",
+		func(f *shapeFigures) (bool, string) {
+			d, p := f.fig11.OverallAccuracy["DRIPPER"], f.fig11.OverallAccuracy["Permit PGC"]
+			return d >= p-0.005, fmt.Sprintf("DRIPPER %+.2f%% vs Permit %+.2f%%", d*100, p*100)
+		}},
+	{"fig11-coverage", "Fig. 11", "DRIPPER keeps most of Permit's coverage",
+		func(f *shapeFigures) (bool, string) {
+			d, p := f.fig11.OverallCoverage["DRIPPER"], f.fig11.OverallCoverage["Permit PGC"]
+			return d >= p*0.5, fmt.Sprintf("DRIPPER %+.2f%% vs Permit %+.2f%%", d*100, p*100)
+		}},
+	{"fig13-useless", "Fig. 13", "DRIPPER cuts useless page-cross prefetches",
+		func(f *shapeFigures) (bool, string) {
+			d, p := mean(f.fig13.UselessPKI["DRIPPER"]), mean(f.fig13.UselessPKI["Permit PGC"])
+			return d <= p, fmt.Sprintf("DRIPPER %.2f vs Permit %.2f useless/kinstr (mean)", d, p)
+		}},
+	{"fig12-tlb", "Fig. 12", "DRIPPER reduces TLB MPKIs (dTLB at least as much as sTLB)",
+		func(f *shapeFigures) (bool, string) {
+			dtlb, stlb := f.fig12.MeanDelta["DRIPPER"]["dtlb"], f.fig12.MeanDelta["DRIPPER"]["stlb"]
+			return dtlb <= 0.01 && dtlb <= stlb+0.01, fmt.Sprintf("dTLB %+.3f sTLB %+.3f mean ΔMPKI", dtlb, stlb)
+		}},
+}
+
 // VerifyShapes runs the core qualitative claims of the paper at the given
 // scale and reports which hold. It is the programmatic companion to
 // EXPERIMENTS.md: run it after any simulator change to see which paper
 // shapes survived.
 func VerifyShapes(o Options, wls []trace.Workload) (*ShapeReport, error) {
 	o = o.withDefaults()
-	if wls == nil {
-		wls = Sample(trace.Seen(), o.MaxWorkloads)
+	m, wls, err := runPolicies(o, wls)
+	if err != nil {
+		return nil, err
+	}
+	gains, _, err := m.Speedups("Permit PGC", "Discard PGC", wls)
+	if err != nil {
+		return nil, err
+	}
+	fig10, err := newSCurveResult(m, wls)
+	if err != nil {
+		return nil, err
+	}
+	f := &shapeFigures{
+		prefetcher: o.Prefetcher,
+		fig2:       &Fig2Result{Gains: map[string][]float64{o.Prefetcher: gains}},
+		fig10:      fig10,
+		fig11:      newFig11Result(m, wls),
+		fig12:      newFig12Result(m, wls),
+		fig13:      newFig13Result(m, wls),
 	}
 	rep := &ShapeReport{}
-	add := func(name, claim string, pass bool, detail string) {
-		rep.Checks = append(rep.Checks, ShapeCheck{Name: name, Claim: claim, Pass: pass, Detail: detail})
+	for _, c := range claims {
+		pass, detail := c.check(f)
+		rep.Checks = append(rep.Checks, ShapeCheck{Name: c.id, Claim: c.text, Pass: pass, Detail: detail})
 	}
-
-	// One matrix covers most checks.
-	m, err := RunMatrix(o, wls, []Scenario{
-		scenarioDiscard(), scenarioPermit(), scenarioDripper(),
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Fig. 2 shape: Permit helps some workloads and hurts others.
-	sp, _, err := m.Speedups("Permit PGC", "Discard PGC", wls)
-	if err != nil {
-		return nil, err
-	}
-	minSp, maxSp := sp[0], sp[0]
-	for _, x := range sp {
-		if x < minSp {
-			minSp = x
-		}
-		if x > maxSp {
-			maxSp = x
-		}
-	}
-	add("fig2-spread", "Permit helps some workloads and hurts others",
-		minSp < 1 && maxSp > 1, fmt.Sprintf("min %s max %s", pct(minSp), pct(maxSp)))
-
-	// Fig. 9/10 shape: DRIPPER >= Permit in geomean.
-	gPermit, err := m.Geomean("Permit PGC", "Discard PGC", wls)
-	if err != nil {
-		return nil, err
-	}
-	gDripper, err := m.Geomean("DRIPPER", "Discard PGC", wls)
-	if err != nil {
-		return nil, err
-	}
-	add("fig9-dripper-vs-permit", "DRIPPER beats Permit PGC in geomean",
-		gDripper >= gPermit, fmt.Sprintf("DRIPPER %s vs Permit %s", pct(gDripper), pct(gPermit)))
-
-	// Fig. 11 shape: DRIPPER keeps coverage while improving accuracy.
-	var covP, covD, accP, accD float64
-	for _, w := range wls {
-		base := m["Discard PGC"][w.Name]
-		p, d := m["Permit PGC"][w.Name], m["DRIPPER"][w.Name]
-		covP += coverageOf(p, base)
-		covD += coverageOf(d, base)
-		accP += p.L1D.PrefetchAccuracy() - base.L1D.PrefetchAccuracy()
-		accD += d.L1D.PrefetchAccuracy() - base.L1D.PrefetchAccuracy()
-	}
-	n := float64(len(wls))
-	add("fig11-accuracy", "DRIPPER's accuracy delta beats Permit's",
-		accD/n >= accP/n-0.005,
-		fmt.Sprintf("DRIPPER %+.2f%% vs Permit %+.2f%%", accD/n*100, accP/n*100))
-	add("fig11-coverage", "DRIPPER keeps most of Permit's coverage",
-		covD/n >= covP/n*0.5,
-		fmt.Sprintf("DRIPPER %+.2f%% vs Permit %+.2f%%", covD/n*100, covP/n*100))
-
-	// Fig. 13 shape: DRIPPER issues far fewer useless page-cross prefetches.
-	var uselessP, uselessD float64
-	for _, w := range wls {
-		_, up := m["Permit PGC"][w.Name].PGCPerKiloInstr()
-		_, ud := m["DRIPPER"][w.Name].PGCPerKiloInstr()
-		uselessP += up
-		uselessD += ud
-	}
-	add("fig13-useless", "DRIPPER cuts useless page-cross prefetches",
-		uselessD <= uselessP,
-		fmt.Sprintf("DRIPPER %.2f vs Permit %.2f useless/kinstr (mean)", uselessD/n, uselessP/n))
-
-	// Fig. 12 shape: DRIPPER reduces dTLB MPKI at least as much as sTLB.
-	var dtlbD, stlbD float64
-	for _, w := range wls {
-		base := m["Discard PGC"][w.Name]
-		d := m["DRIPPER"][w.Name]
-		dtlbD += d.MPKI("dtlb") - base.MPKI("dtlb")
-		stlbD += d.MPKI("stlb") - base.MPKI("stlb")
-	}
-	add("fig12-tlb", "DRIPPER reduces TLB MPKIs (dTLB at least as much as sTLB)",
-		dtlbD/n <= 0.01 && dtlbD <= stlbD+0.01*n,
-		fmt.Sprintf("dTLB %+.3f sTLB %+.3f mean ΔMPKI", dtlbD/n, stlbD/n))
-
 	return rep, nil
-}
-
-func coverageOf(run, base interface {
-	MPKI(string) float64
-}, // structural: *stats.Run satisfies it
-) float64 {
-	b := base.MPKI("l1d")
-	if b == 0 {
-		return 0
-	}
-	return (b - run.MPKI("l1d")) / b
 }

@@ -514,70 +514,52 @@ func (s *System) issuePrefetches(pc, triggerVA uint64, firstPage bool, triggerKi
 			break
 		}
 		target := mem.VAddr(c.Target)
-		crosses4K := c.CrossesPage(triggerVA)
+		pageCross := c.CrossesPage(triggerVA)
 
-		if !crosses4K {
-			// In-page prefetch: translation is the trigger's.
-			res := s.MMU.TranslatePrefetch(target, cycle, false)
-			if res.Source == mmu.SrcDenied {
-				continue // cannot happen for the trigger page, but be safe
+		// A page-cross candidate consults the policy (Fig. 5 step B), unless
+		// DRIPPER(filter@2MB) exempts it for staying inside the trigger's
+		// 2MB large page. In-page and exempt candidates translate without a
+		// walk: their page is the trigger's.
+		filtered := pageCross && !(s.cfg.FilterAt2MB && triggerKind == mem.Page2M &&
+			target.LargePageID() == mem.VAddr(triggerVA).LargePageID())
+		allowWalk := false
+		var tag core.Tag
+		if filtered {
+			in := core.Input{
+				PC: pc, VA: triggerVA, Delta: c.Delta, Meta: c.Meta,
+				PrevVA1: s.prevVA1, PrevVA2: s.prevVA2,
+				PrevPC1: s.prevPC1, PrevPC2: s.prevPC2,
+				FirstPageAccess: firstPage,
 			}
-			pa := res.Translation.PA(target)
-			s.pfReq = cache.Request{
-				PA: pa, VA: target, PC: mem.VAddr(pc), Type: mem.Prefetch, Delta: c.Delta,
-			}
-			s.L1D.Access(&s.pfReq, res.Ready)
-			issued++
-			continue
-		}
-
-		// Page-cross candidate: consult the policy (Fig. 5 step B).
-		// DRIPPER(filter@2MB) exempts crossings that stay inside the
-		// trigger's 2MB large page.
-		if s.cfg.FilterAt2MB && triggerKind == mem.Page2M &&
-			target.LargePageID() == mem.VAddr(triggerVA).LargePageID() {
-			res := s.MMU.TranslatePrefetch(target, cycle, false)
-			if res.Source == mmu.SrcDenied {
+			var issue bool
+			issue, allowWalk, tag = s.Policy.Decide(in)
+			if !issue {
+				s.Policy.RecordDiscard(target.LineID(), tag)
+				s.L1D.Stats.PGCDropped++
+				s.Tracer.Emit(cycle, metrics.EvPageCrossDrop, uint64(target), 0)
 				continue
 			}
-			pa := res.Translation.PA(target)
-			s.Tracer.Emit(cycle, metrics.EvPageCrossIssue, uint64(target), pa.LineID())
-			s.pfReq = cache.Request{
-				PA: pa, VA: target, PC: mem.VAddr(pc), Type: mem.Prefetch,
-				IsPageCross: true, Delta: c.Delta,
-			}
-			s.L1D.Access(&s.pfReq, res.Ready)
-			issued++
-			continue
-		}
-
-		in := core.Input{
-			PC: pc, VA: triggerVA, Delta: c.Delta, Meta: c.Meta,
-			PrevVA1: s.prevVA1, PrevVA2: s.prevVA2,
-			PrevPC1: s.prevPC1, PrevPC2: s.prevPC2,
-			FirstPageAccess: firstPage,
-		}
-		issue, allowWalk, tag := s.Policy.Decide(in)
-		if !issue {
-			s.Policy.RecordDiscard(target.LineID(), tag)
-			s.L1D.Stats.PGCDropped++
-			s.Tracer.Emit(cycle, metrics.EvPageCrossDrop, uint64(target), 0)
-			continue
 		}
 		res := s.MMU.TranslatePrefetch(target, cycle, allowWalk)
 		if res.Source == mmu.SrcDenied {
-			// Discard-PTW semantics: no speculative walk permitted.
-			s.Policy.RecordDiscard(target.LineID(), tag)
-			s.L1D.Stats.PGCDropped++
-			s.Tracer.Emit(cycle, metrics.EvPageCrossDrop, uint64(target), 1)
+			if filtered {
+				// Discard-PTW semantics: no speculative walk permitted.
+				s.Policy.RecordDiscard(target.LineID(), tag)
+				s.L1D.Stats.PGCDropped++
+				s.Tracer.Emit(cycle, metrics.EvPageCrossDrop, uint64(target), 1)
+			}
 			continue
 		}
 		pa := res.Translation.PA(target)
-		s.Policy.RecordIssue(pa.LineID(), tag)
-		s.Tracer.Emit(cycle, metrics.EvPageCrossIssue, uint64(target), pa.LineID())
+		if filtered {
+			s.Policy.RecordIssue(pa.LineID(), tag)
+		}
+		if pageCross {
+			s.Tracer.Emit(cycle, metrics.EvPageCrossIssue, uint64(target), pa.LineID())
+		}
 		s.pfReq = cache.Request{
 			PA: pa, VA: target, PC: mem.VAddr(pc), Type: mem.Prefetch,
-			IsPageCross: true, Delta: c.Delta,
+			IsPageCross: pageCross, Delta: c.Delta,
 		}
 		s.L1D.Access(&s.pfReq, res.Ready)
 		issued++
