@@ -1,5 +1,5 @@
 // Execution backends: where a campaign's cells actually run. The engine
-// (engine.go) owns DAG scheduling, the content-addressed cache (which is
+// (engine.go) owns cell scheduling, the content-addressed cache (which is
 // also the checkpoint) and the retry/failure ledger, and delegates only "run
 // this cell once" to a Backend. Local() executes cells in-process on the
 // calling goroutine; the engine's worker pool provides the concurrency.

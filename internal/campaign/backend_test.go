@@ -104,8 +104,8 @@ func TestEventStream(t *testing.T) {
 		}
 	})
 
-	// Spec order is the tie-break for scheduling: one worker on a spec
-	// with no After edges starts the cells exactly in spec order.
+	// Spec order is the scheduling order: one worker starts the cells
+	// exactly in spec order.
 	t.Run("spec-order", func(t *testing.T) {
 		spec := tinySpec(t, 4)
 		var started []string

@@ -63,16 +63,6 @@ func TestSpecValidate(t *testing.T) {
 		{"duplicate", Spec{Cells: []Cell{
 			{ID: "a", Config: cfg, Workload: w}, {ID: "a", Config: cfg, Workload: w},
 		}}, "duplicate"},
-		{"unknown dep", Spec{Cells: []Cell{
-			{ID: "a", Config: cfg, Workload: w, After: []string{"ghost"}},
-		}}, "unknown"},
-		{"self dep", Spec{Cells: []Cell{
-			{ID: "a", Config: cfg, Workload: w, After: []string{"a"}},
-		}}, "itself"},
-		{"cycle", Spec{Cells: []Cell{
-			{ID: "a", Config: cfg, Workload: w, After: []string{"b"}},
-			{ID: "b", Config: cfg, Workload: w, After: []string{"a"}},
-		}}, "cycle"},
 		{"mix shape", Spec{Cells: []Cell{
 			{ID: "m", Multi: &sim.MultiConfig{PerCore: cfg, Cores: 2}, Mix: []trace.Workload{w}},
 		}}, "2 cores"},
@@ -86,7 +76,7 @@ func TestSpecValidate(t *testing.T) {
 	}
 	ok := Spec{Cells: []Cell{
 		{ID: "a", Config: cfg, Workload: w},
-		{ID: "b", Config: cfg, Workload: w, After: []string{"a"}},
+		{ID: "b", Config: cfg, Workload: w},
 	}}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
@@ -408,45 +398,11 @@ func TestCancelledCampaignCheckpointsAndResumes(t *testing.T) {
 	}
 }
 
-// TestDAGOrdersDependencies: the order of completed events proves
-// dependency order even with more workers than cells (a chain has only one
-// ready cell at a time, whichever worker takes it).
-func TestDAGOrdersDependencies(t *testing.T) {
-	spec := tinySpec(t, 3)
-	// Chain: cells[1] after cells[0], cells[2] after cells[1].
-	spec.Cells[1].After = []string{spec.Cells[0].ID}
-	spec.Cells[2].After = []string{spec.Cells[1].ID}
-
-	var order []string
-	rep, err := Run(context.Background(), spec, WithWorkers(4), WithEvents(func(ev Event) {
-		if ev.Kind == EventCellCompleted {
-			order = append(order, ev.Cell)
-		}
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Complete() {
-		t.Fatalf("chain campaign incomplete: %v", rep.Failures)
-	}
-	want := []string{spec.Cells[0].ID, spec.Cells[1].ID, spec.Cells[2].ID}
-	if len(order) != len(want) {
-		t.Fatalf("%d cells completed, want %d", len(order), len(want))
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("completion order %v violates chain %v", order, want)
-		}
-	}
-}
-
 // TestFailedCellIsLedgeredDependentsStillRun: a cell that cannot even be
-// constructed fails into the ledger; its dependents (ordering, not data
-// deps) and unrelated cells still complete.
+// constructed fails into the ledger; the cells after it still complete.
 func TestFailedCellIsLedgeredDependentsStillRun(t *testing.T) {
 	spec := tinySpec(t, 3)
 	spec.Cells[0].Config.L1DPrefetcher = "no-such-prefetcher"
-	spec.Cells[1].After = []string{spec.Cells[0].ID}
 
 	rep, err := Run(context.Background(), spec, WithWorkers(2))
 	if err != nil {
@@ -462,6 +418,53 @@ func TestFailedCellIsLedgeredDependentsStillRun(t *testing.T) {
 		if rep.Runs[id] == nil {
 			t.Fatalf("cell %s missing despite being independent of the failure", id)
 		}
+	}
+}
+
+// TestCellsStartInSpecOrder pins the shared cursor: one worker starts every
+// cell in spec order, a failed cell included, and a ctx cancelled before
+// Run starts no cell however many workers wait on the cursor.
+func TestCellsStartInSpecOrder(t *testing.T) {
+	spec := tinySpec(t, 4)
+	doomed := spec.Cells[1].ID
+	var started []string
+	rep, err := Run(context.Background(), spec, WithWorkers(1),
+		WithCellFault(func(_ context.Context, id string, _ int) error {
+			if id == doomed {
+				return errors.New("injected, permanent")
+			}
+			return nil
+		}),
+		WithEvents(func(ev Event) {
+			if ev.Kind == EventCellStarted {
+				started = append(started, ev.Cell)
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Failures) != 1 || rep.Failures[0].ID != doomed || len(rep.Runs) != 3 {
+		t.Fatalf("runs=%d failures=%+v, want 3 runs and %s ledgered", len(rep.Runs), rep.Failures, doomed)
+	}
+	if len(started) != len(spec.Cells) {
+		t.Fatalf("started %v, want all %d cells", started, len(spec.Cells))
+	}
+	for i, c := range spec.Cells {
+		if started[i] != c.ID {
+			t.Fatalf("start order %v, want spec order", started)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var events []Event
+	rep, err = Run(ctx, tinySpec(t, 3), WithWorkers(4),
+		WithEvents(func(ev Event) { events = append(events, ev) }))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(events) != 0 || len(rep.Failures) != 0 || len(rep.Runs) != 0 {
+		t.Fatalf("cancelled run: events=%v failures=%v runs=%d", events, rep.Failures, len(rep.Runs))
 	}
 }
 

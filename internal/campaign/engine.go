@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
@@ -133,13 +134,13 @@ func (r *Report) Err() error {
 		len(r.Failures), r.Total, f.ID, f.Attempts, f.Err)
 }
 
-// Run executes the campaign. Cells with satisfied dependencies wait in one
-// FIFO ready queue, seeded in spec order; Exec.Workers goroutines take
-// the oldest ready cell, and a finished cell appends the dependents it
-// unblocks. A panicking or erroring cell becomes a ledger entry (retryable
-// failures retry with backoff), never a campaign abort. The returned error
-// is non-nil only for an invalid spec, an unusable cache, or a
-// cancelled ctx; the report then holds whatever completed first.
+// Run executes the campaign. Exec.Workers goroutines share one cursor over
+// spec.Cells, so cells start in spec order; each worker takes the next cell
+// until the cells run out or ctx is done. A panicking or erroring cell
+// becomes a ledger entry (retryable failures retry with backoff), never a
+// campaign abort. The returned error is non-nil only for an invalid spec,
+// an unusable cache, or a cancelled ctx; the report then holds whatever
+// completed first.
 func Run(ctx context.Context, spec Spec, opts ...Option) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -178,7 +179,6 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Report, error) {
 			Total:   len(spec.Cells),
 		},
 	}
-	e.cond = sync.NewCond(&e.mu)
 	e.run()
 	sort.Slice(e.rep.Failures, func(i, j int) bool { return e.rep.Failures[i].ID < e.rep.Failures[j].ID })
 	return e.rep, ctx.Err()
@@ -192,103 +192,27 @@ type engine struct {
 	cells   []Cell
 	store   *Store
 
-	// mu guards the ready queue, the DAG bookkeeping and the report; cond
-	// wakes idle workers when new cells unblock (or the campaign drains).
-	mu         sync.Mutex
-	cond       *sync.Cond
-	ready      []int   // cells whose dependencies are done, oldest first
-	waitDeps   []int   // per-cell unresolved dependency count
-	dependents [][]int // cell -> cells it unblocks
-	remaining  int     // cells not yet finished
-	rep        *Report
+	next atomic.Int64 // index of the next cell to start
+	mu   sync.Mutex   // guards rep
+	rep  *Report
 }
 
 func (e *engine) run() {
-	n := len(e.cells)
-	if n == 0 {
-		return
-	}
-	e.waitDeps = make([]int, n)
-	e.dependents = make([][]int, n)
-	index := make(map[string]int, n)
-	for i := range e.cells {
-		index[e.cells[i].ID] = i
-	}
-	for i := range e.cells {
-		for _, dep := range e.cells[i].After {
-			j := index[dep]
-			e.waitDeps[i]++
-			e.dependents[j] = append(e.dependents[j], i)
-		}
-	}
-	e.remaining = n
-	for i := range e.cells {
-		if e.waitDeps[i] == 0 {
-			e.ready = append(e.ready, i)
-		}
-	}
-
-	// A cancelled ctx must also wake sleeping workers.
-	stopWake := make(chan struct{})
-	go func() {
-		select {
-		case <-e.ctx.Done():
-			e.cond.Broadcast()
-		case <-stopWake:
-		}
-	}()
-	defer close(stopWake)
-
 	var wg sync.WaitGroup
-	for w := 0; w < min(e.ex.Workers, n); w++ {
+	for w := 0; w < min(e.ex.Workers, len(e.cells)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				ci, ok := e.next()
-				if !ok {
+			for e.ctx.Err() == nil {
+				ci := int(e.next.Add(1) - 1)
+				if ci >= len(e.cells) {
 					return
 				}
 				e.exec(ci)
-				e.finish(ci)
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// next pops the oldest ready cell, blocking until one unblocks; ok=false
-// when the campaign has drained or ctx is done.
-func (e *engine) next() (int, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for len(e.ready) == 0 {
-		if e.remaining == 0 || e.ctx.Err() != nil {
-			return 0, false
-		}
-		e.cond.Wait()
-	}
-	ci := e.ready[0]
-	e.ready = e.ready[1:]
-	return ci, true
-}
-
-// finish retires a cell: its dependents' wait counts drop, newly unblocked
-// cells join the back of the ready queue, and idle workers are woken.
-func (e *engine) finish(ci int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.remaining--
-	wake := e.remaining == 0
-	for _, d := range e.dependents[ci] {
-		if e.waitDeps[d]--; e.waitDeps[d] == 0 {
-			e.ready = append(e.ready, d)
-			wake = true
-		}
-	}
-	if wake {
-		e.cond.Broadcast()
-	}
 }
 
 // exec resolves one cell: the result cache first, then simulation (with
@@ -296,9 +220,6 @@ func (e *engine) finish(ci int) {
 // computed result is written to the cache, which checkpoints it.
 func (e *engine) exec(ci int) {
 	c := &e.cells[ci]
-	if e.ctx.Err() != nil {
-		return // campaign-wide teardown; not an individual failure
-	}
 	key, kerr := c.key() // kerr != nil ⇒ uncacheable: always simulate, never store
 	if kerr == nil && e.store != nil {
 		// Lookup by content key, not cell ID: the key identifies the

@@ -1,5 +1,5 @@
 // Package campaign expresses the paper's evaluation — figure matrices,
-// ablation sweeps, multi-core mixes — as a DAG of simulation cells executed
+// ablation sweeps, multi-core mixes — as an ordered list of simulation cells executed
 // on an in-process worker pool, with every cell's result memoized
 // in a content-addressed on-disk cache that doubles as the checkpoint. A
 // warm-cache re-run of the whole evaluation performs zero simulations; an

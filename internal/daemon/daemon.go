@@ -285,7 +285,6 @@ func (s *Server) recover() error {
 		return err
 	}
 	for _, rec := range recs {
-		rec := rec
 		if rec.State.terminal() && rec.State != JobInterrupted {
 			// done/failed/canceled: load for status and result serving.
 			s.jobs[rec.ID] = newJob(rec, nil)

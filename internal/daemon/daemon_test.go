@@ -214,15 +214,15 @@ func TestFinishedJobProgress(t *testing.T) {
 func TestSubmitRejectsInvalid(t *testing.T) {
 	s, ts := openTest(t, testConfig(t))
 	for name, body := range map[string]string{
-		"bad json":        `{"cells":[`,
-		"no cells":        `{"cells":[]}`,
-		"bad workload":    `{"cells":[{"id":"a","workload":"nope"}]}`,
-		"bad id":          `{"id":"../../etc/passwd","cells":[{"id":"a","workload":"spec.stream_s00"}]}`,
-		"unknown field":   `{"cells":[{"id":"a","workload":"spec.stream_s00","config":{"Bogus":1}}]}`,
-		"fault injection": `{"cells":[{"id":"a","workload":"spec.stream_s00","config":{"FaultInject":{}}}]}`,
-		"zero instrs":     `{"cells":[{"id":"a","workload":"spec.stream_s00","config":{"SimInstrs":0}}]}`,
-		"over budget":     `{"cells":[{"id":"a","workload":"spec.stream_s00","config":{"SimInstrs":999999999999}}]}`,
-		"cycle":           `{"cells":[{"id":"a","workload":"spec.stream_s00","after":["a"]}]}`,
+		"bad json":           `{"cells":[`,
+		"no cells":           `{"cells":[]}`,
+		"bad workload":       `{"cells":[{"id":"a","workload":"nope"}]}`,
+		"bad id":             `{"id":"../../etc/passwd","cells":[{"id":"a","workload":"spec.stream_s00"}]}`,
+		"unknown field":      `{"cells":[{"id":"a","workload":"spec.stream_s00","config":{"Bogus":1}}]}`,
+		"fault injection":    `{"cells":[{"id":"a","workload":"spec.stream_s00","config":{"FaultInject":{}}}]}`,
+		"zero instrs":        `{"cells":[{"id":"a","workload":"spec.stream_s00","config":{"SimInstrs":0}}]}`,
+		"over budget":        `{"cells":[{"id":"a","workload":"spec.stream_s00","config":{"SimInstrs":999999999999}}]}`,
+		"unknown cell field": `{"cells":[{"id":"a","workload":"spec.stream_s00","after":["a"]}]}`,
 	} {
 		resp, _ := submit(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {

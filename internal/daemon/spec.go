@@ -26,7 +26,7 @@ type CampaignRequest struct {
 	ID string `json:"id,omitempty"`
 	// Name labels the campaign in logs and status output.
 	Name string `json:"name,omitempty"`
-	// Cells are the campaign DAG nodes.
+	// Cells are the campaign's cells, started in this order.
 	Cells []CellSpec `json:"cells"`
 	// DeadlineMS, when positive, bounds the whole campaign's wall-clock
 	// time (capped at the server's MaxDeadline; the server default
@@ -56,8 +56,6 @@ type CellSpec struct {
 	// configuration: fields present in the JSON override the default,
 	// everything else keeps it. Unknown fields are rejected.
 	Config json.RawMessage `json:"config,omitempty"`
-	// After lists cell IDs that must complete first.
-	After []string `json:"after,omitempty"`
 }
 
 var jobIDPattern = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
@@ -106,9 +104,7 @@ func (s *Server) compile(req *CampaignRequest) (*compiled, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cell %q: %w", c.ID, err)
 		}
-		out.spec.Cells = append(out.spec.Cells, campaign.Cell{
-			ID: c.ID, Config: cfg, Workload: w, After: append([]string(nil), c.After...),
-		})
+		out.spec.Cells = append(out.spec.Cells, campaign.Cell{ID: c.ID, Config: cfg, Workload: w})
 	}
 	if err := out.spec.Validate(); err != nil {
 		return nil, err

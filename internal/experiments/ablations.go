@@ -46,7 +46,6 @@ func sweep(o Options, wls []trace.Workload, title string, points []sweepPoint) (
 	}
 	res := &SweepResult{Title: title}
 	for _, p := range points {
-		p := p
 		scens := []Scenario{
 			{Name: "Discard PGC", Configure: func(c *sim.Config) {
 				c.Policy = sim.PolicyDiscard
@@ -75,8 +74,7 @@ func sweep(o Options, wls []trace.Workload, title string, points []sweepPoint) (
 func EpochSweep(o Options, wls []trace.Workload) (*SweepResult, error) {
 	var points []sweepPoint
 	for _, epoch := range []uint64{5_000, 20_000, 80_000} {
-		e := epoch
-		points = append(points, sweepPoint{fmt.Sprintf("epoch=%d", e), func(c *sim.Config) { c.Core.EpochInstrs = e }})
+		points = append(points, sweepPoint{fmt.Sprintf("epoch=%d", epoch), func(c *sim.Config) { c.Core.EpochInstrs = epoch }})
 	}
 	return sweep(o, wls, "Ablation: DRIPPER gain vs adaptive-scheme epoch length", points)
 }
@@ -86,9 +84,8 @@ func EpochSweep(o Options, wls []trace.Workload) (*SweepResult, error) {
 func STLBSweep(o Options, wls []trace.Workload) (*SweepResult, error) {
 	var points []sweepPoint
 	for _, sets := range []int{32, 128, 512} {
-		s := sets
-		points = append(points, sweepPoint{fmt.Sprintf("stlb=%d", s*12), func(c *sim.Config) {
-			c.MMU.STLB = tlb.Config{Name: "stlb", Sets: s, Ways: 12, Latency: 8}
+		points = append(points, sweepPoint{fmt.Sprintf("stlb=%d", sets*12), func(c *sim.Config) {
+			c.MMU.STLB = tlb.Config{Name: "stlb", Sets: sets, Ways: 12, Latency: 8}
 		}})
 	}
 	return sweep(o, wls, "Ablation: DRIPPER gain vs sTLB capacity (entries)", points)
@@ -98,8 +95,7 @@ func STLBSweep(o Options, wls []trace.Workload) (*SweepResult, error) {
 func DegreeSweep(o Options, wls []trace.Workload) (*SweepResult, error) {
 	var points []sweepPoint
 	for _, deg := range []int{1, 2, 4, 8} {
-		d := deg
-		points = append(points, sweepPoint{fmt.Sprintf("degree=%d", d), func(c *sim.Config) { c.MaxPrefetchDegree = d }})
+		points = append(points, sweepPoint{fmt.Sprintf("degree=%d", deg), func(c *sim.Config) { c.MaxPrefetchDegree = deg }})
 	}
 	return sweep(o, wls, "Ablation: DRIPPER gain vs prefetch degree cap", points)
 }
@@ -109,10 +105,9 @@ func DegreeSweep(o Options, wls []trace.Workload) (*SweepResult, error) {
 func VUBSweep(o Options, wls []trace.Workload) (*SweepResult, error) {
 	var points []sweepPoint
 	for _, entries := range []int{1, 4, 32} {
-		e := entries
-		points = append(points, sweepPoint{fmt.Sprintf("vUB=%d", e), func(c *sim.Config) {
+		points = append(points, sweepPoint{fmt.Sprintf("vUB=%d", entries), func(c *sim.Config) {
 			fc := core.DefaultDripperConfig(c.L1DPrefetcher)
-			fc.VUBEntries = e
+			fc.VUBEntries = entries
 			c.FilterConfig = &fc
 		}})
 	}

@@ -84,7 +84,6 @@ func Fig17(o Options, wls []trace.Workload) (*Fig17Result, error) {
 		Geomean:        map[string]map[string]float64{},
 	}
 	for _, l2 := range res.L2CPrefetchers {
-		l2 := l2
 		withL2 := func(mut func(*sim.Config)) func(*sim.Config) {
 			return func(c *sim.Config) {
 				c.L2CPrefetcher = l2

@@ -155,8 +155,8 @@ func runPolicies(o Options, wls []trace.Workload) (Matrix, []trace.Workload, err
 type Matrix map[string]map[string]*stats.Run
 
 // RunMatrix simulates every workload under every scenario as one
-// campaign: each (scenario, workload) pair becomes a cell of a dependency-
-// free DAG on the campaign engine's worker pool, with the engine's fault
+// campaign: each (scenario, workload) pair becomes one independent cell
+// on the campaign engine's worker pool, with the engine's fault
 // isolation, retries and result cache as Options.Campaign configures them.
 // It folds the campaign's failure ledger into one error but still returns
 // the completed portion of the matrix alongside it, so callers can salvage

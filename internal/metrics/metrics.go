@@ -122,28 +122,6 @@ func NewHistogram(bounds []uint64) (*Histogram, error) {
 	return h, nil
 }
 
-// ExpBounds returns n bounds growing geometrically from start by factor
-// (both >= 1), a convenient latency-bucket shape.
-func ExpBounds(start uint64, factor float64, n int) []uint64 {
-	if start == 0 {
-		start = 1
-	}
-	if factor < 1.0001 {
-		factor = 2
-	}
-	out := make([]uint64, 0, n)
-	v := float64(start)
-	for i := 0; i < n; i++ {
-		b := uint64(v)
-		if len(out) > 0 && b <= out[len(out)-1] {
-			b = out[len(out)-1] + 1
-		}
-		out = append(out, b)
-		v *= factor
-	}
-	return out
-}
-
 // Observe records one sample.
 func (h *Histogram) Observe(v uint64) {
 	if h == nil {

@@ -107,14 +107,15 @@ func TestHistogramInvariants(t *testing.T) {
 
 // TestHistogramObserveMatchesScan pins the bucket table against the scan
 // over the bounds for every sample from 0 to one past the last bound: the
-// MSHR-occupancy shape, ExpBounds shapes on both sides of bucketTableMax,
+// MSHR-occupancy shape, geometric shapes on both sides of bucketTableMax,
 // and single-bound edges.
 func TestHistogramObserveMatchesScan(t *testing.T) {
 	for _, bounds := range [][]uint64{
 		{0, 1, 2, 4, 8, 16, 32, 64, 128},
-		ExpBounds(1, 2, 10),
-		ExpBounds(10, 2, 8),
-		ExpBounds(1, 1.3, 30),
+		{1, 2, 4, 8, 16, 32, 64, 128, 256, 512},
+		{10, 20, 40, 80, 160, 320, 640, 1280},
+		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 17, 23, 30, 39, 51, 66, 86, 112, 146,
+			190, 247, 321, 417, 542, 705, 917, 1192, 1550, 2015},
 		{0},
 		{bucketTableMax},
 		{5, bucketTableMax + 1},
@@ -153,21 +154,6 @@ func TestHistogramNilSafe(t *testing.T) {
 	h.Reset()
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil histogram not zero")
-	}
-}
-
-func TestExpBounds(t *testing.T) {
-	b := ExpBounds(10, 2, 8)
-	if len(b) != 8 {
-		t.Fatalf("len = %d", len(b))
-	}
-	for i := 1; i < len(b); i++ {
-		if b[i] <= b[i-1] {
-			t.Fatalf("bounds not strictly increasing: %v", b)
-		}
-	}
-	if _, err := NewHistogram(ExpBounds(0, 0, 5)); err != nil {
-		t.Fatalf("degenerate ExpBounds args must still be valid: %v", err)
 	}
 }
 
@@ -287,29 +273,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if got := hv.Mean(); got < 1683 || got > 1684 {
 		t.Fatalf("Mean = %v", got)
-	}
-}
-
-func TestSnapshotCSV(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c").Add(2)
-	r.MustHistogram("h", []uint64{5}).Observe(3)
-	var buf bytes.Buffer
-	if err := r.Snapshot().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.String()
-	for _, want := range []string{
-		"name,kind,value",
-		"c,counter,2",
-		"h.count,histogram,1",
-		"h.sum,histogram,3",
-		"h.bucket.le5,histogram,1",
-		"h.bucket.+inf,histogram,0",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("CSV missing %q in:\n%s", want, got)
-		}
 	}
 }
 

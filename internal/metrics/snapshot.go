@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -84,43 +83,6 @@ func ParseSnapshot(data []byte) (Snapshot, error) {
 		return Snapshot{}, fmt.Errorf("metrics: decoding snapshot: %w", err)
 	}
 	return s, nil
-}
-
-// WriteCSV writes "name,kind,value" rows; histograms export their count,
-// sum and per-bucket counts as separate rows so spreadsheet tooling needs
-// no JSON support.
-func (s Snapshot) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"name", "kind", "value"}); err != nil {
-		return err
-	}
-	u := strconv.FormatUint
-	for _, m := range s.Metrics {
-		if m.Hist == nil {
-			if err := cw.Write([]string{m.Name, string(m.Kind), u(m.Value, 10)}); err != nil {
-				return err
-			}
-			continue
-		}
-		rows := [][]string{
-			{m.Name + ".count", string(m.Kind), u(m.Hist.Count, 10)},
-			{m.Name + ".sum", string(m.Kind), u(m.Hist.Sum, 10)},
-		}
-		for i, c := range m.Hist.Counts {
-			label := "+inf"
-			if i < len(m.Hist.Bounds) {
-				label = "le" + u(m.Hist.Bounds[i], 10)
-			}
-			rows = append(rows, []string{m.Name + ".bucket." + label, string(m.Kind), u(c, 10)})
-		}
-		for _, row := range rows {
-			if err := cw.Write(row); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // DiffEntry is one divergence between two snapshots, rendered readably for

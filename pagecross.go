@@ -14,7 +14,7 @@
 //	run, err := pagecross.Run(context.Background(), cfg, w)
 //	fmt.Println(run.IPC())
 //
-// Whole evaluations run as campaigns — DAGs of cached simulation cells.
+// Whole evaluations run as campaigns — lists of cached simulation cells.
 // The cache is also the checkpoint: re-running an interrupted campaign
 // with the same cache simulates only the cells that had not completed.
 //
@@ -25,7 +25,7 @@
 //
 //   - The simulator: Config/Run/RunMix simulate single- and multi-core
 //     systems over synthetic workloads (SeenWorkloads, UnseenWorkloads);
-//     RunCampaign executes whole cell DAGs with a content-addressed result
+//     RunCampaign executes whole cell lists with a content-addressed result
 //     cache that doubles as the checkpoint.
 //   - The paper's mechanism: FilterConfig/NewFilter build MOKA filters from
 //     program and system features; DripperConfig returns the Table II
@@ -110,12 +110,12 @@ func RunMix(ctx context.Context, cfg MultiConfig, mix []Workload) ([]*Result, er
 	return ms.RunMix(ctx, mix)
 }
 
-// CampaignSpec is a DAG of simulation cells — a whole evaluation (figure
-// matrix, ablation sweep, multi-core mix study) expressed as data.
+// CampaignSpec is an ordered list of simulation cells — a whole evaluation
+// (figure matrix, ablation sweep, multi-core mix study) expressed as data.
 type CampaignSpec = campaign.Spec
 
-// CampaignCell is one node of a campaign: a single- or multi-core
-// simulation with optional ordering dependencies (After).
+// CampaignCell is one entry of a campaign: a single- or multi-core
+// simulation, independent of every other cell.
 type CampaignCell = campaign.Cell
 
 // CampaignReport is a campaign's outcome: results by cell ID, the failure

@@ -124,7 +124,7 @@ func TestFacadeCampaign(t *testing.T) {
 
 	spec := CampaignSpec{Name: "facade", Cells: []CampaignCell{
 		{ID: "base", Config: base, Workload: w},
-		{ID: "drip", Config: drip, Workload: w, After: []string{"base"}},
+		{ID: "drip", Config: drip, Workload: w},
 	}}
 	dir := t.TempDir()
 	opts := []CampaignOption{
