@@ -594,10 +594,16 @@ func (c *Cache) accessWriteback(req *Request, cycle uint64) uint64 {
 // distribution and its miss-latency estimate into a metrics registry under
 // prefix (conventionally the configured name: "l1d", "llc", ...).
 func (c *Cache) RegisterMetrics(r *metrics.Registry, prefix string) {
-	c.Stats.RegisterMetrics(r, prefix)
 	c.mshrHist = r.MustHistogram(prefix+".mshr_occupancy",
 		[]uint64{0, 1, 2, 4, 8, 16, 32, 64, 128})
-	r.GaugeFunc(prefix+".miss_latency_ewma", func() uint64 { return c.missLatEWMA })
+	r.Source(prefix, c)
+}
+
+// EmitMetrics implements metrics.Source: the statistics block and the
+// miss-latency estimate.
+func (c *Cache) EmitMetrics(emit metrics.Emit) {
+	c.Stats.EmitMetrics(emit)
+	emit("miss_latency_ewma", metrics.KindGauge, c.missLatEWMA)
 }
 
 // Contains reports whether the line holding pa is resident (test helper and

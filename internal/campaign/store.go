@@ -1,12 +1,14 @@
 package campaign
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"repro/internal/stats"
 )
@@ -34,22 +36,40 @@ func OpenStore(dir string) (*Store, error) {
 // Dir returns the cache root.
 func (s *Store) Dir() string { return s.dir }
 
-// entry is the on-disk format. Runs holds one *stats.Run per core (length
-// 1 for single-core cells); Checksum covers the canonical JSON of Runs so
-// payload corruption is detected independently of the filename.
-type entry struct {
-	Key      Key          `json:"key"`
-	Schema   int          `json:"schema"`
-	Checksum string       `json:"checksum"`
-	Runs     []*stats.Run `json:"runs"`
-}
+// An entry is one JSON object, written without spaces in this field order:
+//
+//	{"key":<k>,"schema":<SchemaVersion>,"checksum":"<hex sha256>","runs":<payload>}
+//
+// Runs holds one *stats.Run per core (length 1 for single-core cells); the
+// checksum covers the payload bytes, so corruption is detected
+// independently of the filename. These are exactly the bytes json.Marshal
+// gives the matching struct, but Put builds them around the payload it
+// marshalled once and Get verifies and decodes only the payload, so an
+// entry re-formatted into another valid layout reads as a miss.
+
+// checksumLen is the length of a hex SHA-256 checksum.
+const checksumLen = 2 * sha256.Size
+
+// runsField separates the checksum from the payload.
+const runsField = `","runs":`
 
 func (s *Store) path(k Key) string {
 	return filepath.Join(s.dir, string(k[:2]), string(k)+".json")
 }
 
-// Get returns the cached runs for k, or ok=false on any miss — absent,
-// unparsable, wrong key, wrong schema version, or checksum mismatch.
+// head is the entry's fixed opening up to the checksum's first digit:
+// {"key":<k>,"schema":<SchemaVersion>,"checksum":"
+func head(k Key) []byte {
+	key, _ := json.Marshal(k) // a string always marshals
+	b := append([]byte(`{"key":`), key...)
+	b = append(b, `,"schema":`...)
+	b = strconv.AppendInt(b, SchemaVersion, 10)
+	return append(b, `,"checksum":"`...)
+}
+
+// Get returns the cached runs for k, or ok=false on any miss — absent, not
+// laid out as Put writes it, wrong key, wrong schema version, checksum
+// mismatch, or a payload that does not decode to non-nil runs.
 func (s *Store) Get(k Key) ([]*stats.Run, bool) {
 	if len(k) < 2 {
 		return nil, false
@@ -58,26 +78,29 @@ func (s *Store) Get(k Key) ([]*stats.Run, bool) {
 	if err != nil {
 		return nil, false
 	}
-	var e entry
-	if err := json.Unmarshal(b, &e); err != nil {
+	h := head(k)
+	if !bytes.HasPrefix(b, h) {
 		return nil, false
 	}
-	if e.Key != k || e.Schema != SchemaVersion || len(e.Runs) == 0 {
+	b = b[len(h):]
+	if len(b) < checksumLen+len(runsField)+1 || b[len(b)-1] != '}' ||
+		string(b[checksumLen:checksumLen+len(runsField)]) != runsField {
 		return nil, false
 	}
-	payload, err := json.Marshal(e.Runs)
-	if err != nil {
+	sum, payload := b[:checksumLen], b[checksumLen+len(runsField):len(b)-1]
+	if checksum(payload) != string(sum) {
 		return nil, false
 	}
-	if checksum(payload) != e.Checksum {
+	var runs []*stats.Run
+	if err := json.Unmarshal(payload, &runs); err != nil || len(runs) == 0 {
 		return nil, false
 	}
-	for _, r := range e.Runs {
+	for _, r := range runs {
 		if r == nil {
 			return nil, false
 		}
 	}
-	return e.Runs, true
+	return runs, true
 }
 
 // Put stores runs under k, atomically and durably: the entry is written to
@@ -94,11 +117,10 @@ func (s *Store) Put(k Key, runs []*stats.Run) error {
 	if err != nil {
 		return fmt.Errorf("campaign: caching result: %w", err)
 	}
-	e := entry{Key: k, Schema: SchemaVersion, Checksum: checksum(payload), Runs: runs}
-	b, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("campaign: caching result: %w", err)
-	}
+	b := append(head(k), checksum(payload)...)
+	b = append(b, runsField...)
+	b = append(b, payload...)
+	b = append(b, '}')
 	dir := filepath.Dir(s.path(k))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("campaign: caching result: %w", err)

@@ -6,19 +6,22 @@ import "repro/internal/metrics"
 // its live threshold state into a metrics registry under prefix ("filter").
 // FilterPolicy inherits this through embedding, so the simulator can
 // register any filter-backed page-cross policy uniformly.
-func (f *Filter) RegisterMetrics(r *metrics.Registry, prefix string) {
-	r.CounterFunc(prefix+".issued", func() uint64 { return f.Issued })
-	r.CounterFunc(prefix+".discarded", func() uint64 { return f.Discarded })
-	r.CounterFunc(prefix+".positive_trainings", func() uint64 { return f.PositiveTrainings })
-	r.CounterFunc(prefix+".negative_trainings", func() uint64 { return f.NegativeTrainings })
-	r.CounterFunc(prefix+".false_negative_hits", func() uint64 { return f.FalseNegativeHits })
+func (f *Filter) RegisterMetrics(r *metrics.Registry, prefix string) { r.Source(prefix, f) }
+
+// EmitMetrics implements metrics.Source.
+func (f *Filter) EmitMetrics(emit metrics.Emit) {
+	const c, g = metrics.KindCounter, metrics.KindGauge
+	emit("issued", c, f.Issued)
+	emit("discarded", c, f.Discarded)
+	emit("positive_trainings", c, f.PositiveTrainings)
+	emit("negative_trainings", c, f.NegativeTrainings)
+	emit("false_negative_hits", c, f.FalseNegativeHits)
 	// The live Ta ladder position and kill switch; the threshold itself can
 	// be negative, so the (always non-negative) ladder index is exported.
-	r.GaugeFunc(prefix+".threshold_level", func() uint64 { return uint64(f.level) })
-	r.GaugeFunc(prefix+".disabled", func() uint64 {
-		if f.disabled {
-			return 1
-		}
-		return 0
-	})
+	var disabled uint64
+	if f.disabled {
+		disabled = 1
+	}
+	emit("threshold_level", g, uint64(f.level))
+	emit("disabled", g, disabled)
 }

@@ -356,21 +356,21 @@ func (c *Core) step() {
 // RegisterMetrics exports the core's statistics and live pipeline state
 // into a metrics registry under prefix ("core"). Counters are views over
 // Stats (reset with it); gauges sample the pipeline at snapshot time.
-func (c *Core) RegisterMetrics(r *metrics.Registry, prefix string) {
-	c.Stats.RegisterMetrics(r, prefix)
-	r.GaugeFunc(prefix+".cycle", func() uint64 { return c.cycle })
-	r.GaugeFunc(prefix+".retired_total", func() uint64 { return c.retiredTotal })
-	r.GaugeFunc(prefix+".last_retire_cycle", func() uint64 { return c.lastRetire })
-	r.GaugeFunc(prefix+".rob_occupancy", func() uint64 { return uint64(c.count) })
-	r.GaugeFunc(prefix+".rob_size", func() uint64 { return uint64(c.cfg.ROBSize) })
-	r.GaugeFunc(prefix+".rob_head_pc", func() uint64 {
-		pc, _, _ := c.ROBHead()
-		return pc
-	})
-	r.GaugeFunc(prefix+".rob_head_ready", func() uint64 {
-		_, ready, _ := c.ROBHead()
-		return ready
-	})
+func (c *Core) RegisterMetrics(r *metrics.Registry, prefix string) { r.Source(prefix, c) }
+
+// EmitMetrics implements metrics.Source: the statistics block, then the
+// pipeline gauges.
+func (c *Core) EmitMetrics(emit metrics.Emit) {
+	c.Stats.EmitMetrics(emit)
+	const g = metrics.KindGauge
+	pc, ready, _ := c.ROBHead()
+	emit("cycle", g, c.cycle)
+	emit("retired_total", g, c.retiredTotal)
+	emit("last_retire_cycle", g, c.lastRetire)
+	emit("rob_occupancy", g, uint64(c.count))
+	emit("rob_size", g, uint64(c.cfg.ROBSize))
+	emit("rob_head_pc", g, pc)
+	emit("rob_head_ready", g, ready)
 }
 
 // RetiredTotal returns the monotonic count of instructions retired over the

@@ -9,7 +9,7 @@ import (
 // in one internal/metrics registry and served (snapshot or stream) by the
 // /metricz endpoint. All counters are SyncCounters — unlike a simulated
 // system, the daemon mutates its registry from many goroutines. Gauges are
-// function-backed reads of live server state, sampled at snapshot time.
+// one view source over live server state, sampled at snapshot time.
 type daemonMetrics struct {
 	reg *metrics.Registry
 
@@ -38,8 +38,8 @@ type daemonMetrics struct {
 }
 
 // newDaemonMetrics registers every daemon metric. Registration happens once
-// at server construction, before any concurrent access — the registry map
-// is read-only from then on, which is the registry's concurrency contract.
+// at server construction, before any concurrent access — the registry is
+// read-only from then on, which is its concurrency contract.
 func newDaemonMetrics(s *Server) *daemonMetrics {
 	reg := metrics.NewRegistry()
 	m := &daemonMetrics{
@@ -66,16 +66,21 @@ func newDaemonMetrics(s *Server) *daemonMetrics {
 
 		cellsRetried: reg.SyncCounter("daemon.cells.retried"),
 	}
-	reg.GaugeFunc("daemon.queue.depth", func() uint64 { return uint64(s.queueDepth()) })
-	reg.GaugeFunc("daemon.jobs.running", func() uint64 { return uint64(s.runningCount()) })
-	reg.GaugeFunc("daemon.draining", func() uint64 {
-		if s.isDraining() {
-			return 1
-		}
-		return 0
-	})
-	reg.GaugeFunc("daemon.ratelimit.clients", func() uint64 { return uint64(s.limiter.clients()) })
+	reg.Source("daemon", metrics.SourceFunc(s.emitGauges))
 	return m
+}
+
+// emitGauges reports the live server state, sampled at snapshot time.
+func (s *Server) emitGauges(emit metrics.Emit) {
+	const g = metrics.KindGauge
+	var draining uint64
+	if s.isDraining() {
+		draining = 1
+	}
+	emit("queue.depth", g, uint64(s.queueDepth()))
+	emit("jobs.running", g, uint64(s.runningCount()))
+	emit("draining", g, draining)
+	emit("ratelimit.clients", g, uint64(s.limiter.clients()))
 }
 
 // addReport folds one campaign report's cell accounting into the counters.

@@ -168,13 +168,19 @@ func (d *DRAM) Access(req *cache.Request, cycle uint64) uint64 {
 // RegisterMetrics exports the controller's counters and its access-latency
 // distribution into a metrics registry under prefix ("dram").
 func (d *DRAM) RegisterMetrics(r *metrics.Registry, prefix string) {
-	r.CounterFunc(prefix+".reads", func() uint64 { return d.Stats.Reads })
-	r.CounterFunc(prefix+".writes", func() uint64 { return d.Stats.Writes })
-	r.CounterFunc(prefix+".row_hits", func() uint64 { return d.Stats.RowHits })
-	r.CounterFunc(prefix+".row_misses", func() uint64 { return d.Stats.RowMisses })
-	r.CounterFunc(prefix+".total_delay", func() uint64 { return d.Stats.TotalDelay })
+	r.Source(prefix, &d.Stats)
 	// Buckets span a row hit under no contention (~105 cycles with Table IV
 	// timings) out to heavily queued accesses.
 	d.latHist = r.MustHistogram(prefix+".latency",
 		[]uint64{110, 140, 180, 230, 300, 400, 600, 1000, 2000, 5000})
+}
+
+// EmitMetrics implements metrics.Source: every controller counter.
+func (s *Stats) EmitMetrics(emit metrics.Emit) {
+	const c = metrics.KindCounter
+	emit("reads", c, s.Reads)
+	emit("writes", c, s.Writes)
+	emit("row_hits", c, s.RowHits)
+	emit("row_misses", c, s.RowMisses)
+	emit("total_delay", c, s.TotalDelay)
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"os"
 	"testing"
 )
 
@@ -29,6 +30,20 @@ func FuzzSnapshotJSON(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+
+	// Real sim.System snapshots — full-detail and sampled — as the
+	// golden-stats suite pins them, so the fixed point covers every name
+	// and kind the components' view sources emit.
+	for _, path := range []string{
+		"../sim/testdata/golden/spec.stream_s00.json",
+		"../sim/testdata/golden/sampled/spec.stream_s00.json",
+	} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s1, err := ParseSnapshot(data)

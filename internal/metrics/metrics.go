@@ -17,15 +17,20 @@
 //     JSON — the property the golden-stats regression suite locks down.
 //
 // Existing statistics structs (stats.CacheStats and friends) remain the
-// components' working storage; they enter the registry as function-backed
-// counters (CounterFunc) sampled at snapshot time. New distributional
-// metrics (DRAM latency, page-walk depth, MSHR occupancy, prefetch degree)
-// are native Histograms.
+// components' working storage. Each component enters the registry as one
+// view Source: a method that emits (name, kind, value) for its fields. The
+// registry stores the source and nothing else, and builds names and samples
+// values only inside Snapshot and Value, so an unread registry costs one
+// slice entry per component. Distributional metrics (DRAM latency,
+// page-walk depth, MSHR occupancy, prefetch degree) are native Histograms,
+// observed in place; a histogram whose last bound is at most 1023 maps a
+// sample to its bucket with one table load, a wider one scans its bounds.
 package metrics
 
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Kind classifies a registered metric.
@@ -105,10 +110,10 @@ func NewHistogram(bounds []uint64) (*Histogram, error) {
 				bounds[i], bounds[i-1])
 		}
 	}
-	h := &Histogram{
-		bounds: append([]uint64(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
-	}
+	// One backing array holds the bounds, then the counts.
+	buf := make([]uint64, 2*len(bounds)+1)
+	n := copy(buf, bounds)
+	h := &Histogram{bounds: buf[:n:n], counts: buf[n:]}
 	if last := bounds[len(bounds)-1]; last <= bucketTableMax {
 		h.bucketOf = make([]uint16, last+1)
 		i := 0
@@ -183,54 +188,91 @@ func (h *Histogram) value() *HistogramValue {
 	}
 }
 
-// metric is one registry slot.
-type metric struct {
-	kind   Kind
-	ctr    *Counter      // owned counter (KindCounter, sample == nil)
-	sample func() uint64 // function-backed counter/gauge
-	hist   *Histogram    // KindHistogram
+// Emit reports one field of a view source: its name relative to the
+// source's prefix, its kind (KindCounter or KindGauge) and its value now.
+type Emit func(name string, kind Kind, value uint64)
+
+// Source is a component's view of its own working storage. EmitMetrics
+// reports every field once through emit; the registry calls it only when
+// it is read, so a source costs nothing between snapshots.
+type Source interface {
+	EmitMetrics(emit Emit)
+}
+
+// SourceFunc adapts a function to Source, for views that close over more
+// than one component (the sim layer's cycle-aware occupancy gauges).
+type SourceFunc func(emit Emit)
+
+// EmitMetrics calls f.
+func (f SourceFunc) EmitMetrics(emit Emit) { f(emit) }
+
+// owned is one eagerly registered instrument the hot path mutates.
+type owned struct {
+	name string
+	ctr  *Counter
+	sync *SyncCounter
+	hist *Histogram
+}
+
+func (o *owned) value() uint64 {
+	if o.sync != nil {
+		return o.sync.Value()
+	}
+	return o.ctr.Value()
+}
+
+// view is one registered source and the prefix its names sit under.
+type view struct {
+	prefix string
+	src    Source
+}
+
+// join builds a view field's full name; an empty prefix leaves it as is.
+func join(prefix, name string) string {
+	if prefix == "" {
+		return name
+	}
+	return prefix + "." + name
+}
+
+// named reports whether join(prefix, name) == full, without building it.
+func named(full, prefix, name string) bool {
+	if prefix == "" {
+		return full == name
+	}
+	return len(full) == len(prefix)+1+len(name) && full[len(prefix)] == '.' &&
+		full[:len(prefix)] == prefix && full[len(prefix)+1:] == name
 }
 
 // Registry is a flat namespace of metrics with hierarchical dotted names
-// ("l1d.demand_misses", "ptw.walk_depth"). It is not synchronised: each
-// simulated system owns one registry and runs single-threaded (the matrix
-// worker pool parallelises across systems, never within one).
+// ("l1d.demand_misses", "ptw.walk_depth"). Owned counters and histograms
+// are built at registration; view sources are only stored, and their names
+// and values exist only inside Snapshot and Value. A duplicate name is a
+// wiring bug, reported by a panic there. The registry is not synchronised:
+// register everything first, then read it from any number of goroutines
+// (each simulated system owns one registry and runs single-threaded; the
+// daemon's shared registry mutates only through SyncCounters).
 type Registry struct {
-	metrics map[string]*metric
+	owned []owned
+	views []view
 }
 
 // NewRegistry builds an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{metrics: make(map[string]*metric)}
-}
-
-// register installs m under name, panicking on duplicates — a duplicate
-// registration is a wiring bug, not a runtime condition.
-func (r *Registry) register(name string, m *metric) {
-	if _, dup := r.metrics[name]; dup {
-		panic(fmt.Sprintf("metrics: duplicate registration of %q", name))
-	}
-	r.metrics[name] = m
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Counter creates and registers an owned counter.
 func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{}
-	r.register(name, &metric{kind: KindCounter, ctr: c})
+	r.owned = append(r.owned, owned{name: name, ctr: c})
 	return c
 }
 
-// CounterFunc registers a function-backed counter: sample is read at
-// snapshot time. Use it to export an existing statistics field without
-// moving its storage.
-func (r *Registry) CounterFunc(name string, sample func() uint64) {
-	r.register(name, &metric{kind: KindCounter, sample: sample})
-}
-
-// GaugeFunc registers a function-backed gauge (an instantaneous level, not
-// a monotonic count): occupancy, threshold, inflight depth.
-func (r *Registry) GaugeFunc(name string, sample func() uint64) {
-	r.register(name, &metric{kind: KindGauge, sample: sample})
+// Source registers a view source under prefix ("l1d", "prefetch.l1d.fdp";
+// "" for sources that emit full names). Its fields are sampled at snapshot
+// time: use it to export a component's existing statistics without moving
+// their storage.
+func (r *Registry) Source(prefix string, src Source) {
+	r.views = append(r.views, view{prefix: prefix, src: src})
 }
 
 // Histogram creates and registers an owned histogram with the given bounds.
@@ -239,7 +281,7 @@ func (r *Registry) Histogram(name string, bounds []uint64) (*Histogram, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.register(name, &metric{kind: KindHistogram, hist: h})
+	r.owned = append(r.owned, owned{name: name, hist: h})
 	return h, nil
 }
 
@@ -252,48 +294,78 @@ func (r *Registry) MustHistogram(name string, bounds []uint64) *Histogram {
 	return h
 }
 
-// Value returns the current value of the named counter or gauge.
-func (r *Registry) Value(name string) (uint64, bool) {
-	m, ok := r.metrics[name]
-	if !ok || m.kind == KindHistogram {
-		return 0, false
-	}
-	if m.sample != nil {
-		return m.sample(), true
-	}
-	return m.ctr.Value(), true
+// duplicate is the panic a name registered twice raises when read.
+func duplicate(name string) string {
+	return fmt.Sprintf("metrics: duplicate registration of %q", name)
 }
 
-// Reset zeroes every owned counter and histogram. Function-backed metrics
-// are views over component state and reset with their components.
+// Value returns the current value of the named counter or gauge. It reads
+// every registration the name could come from, so it panics on a
+// duplicate just as Snapshot does.
+func (r *Registry) Value(name string) (uint64, bool) {
+	var v uint64
+	found, isHist := false, false
+	hit := func(x uint64, hist bool) {
+		if found {
+			panic(duplicate(name))
+		}
+		v, found, isHist = x, true, hist
+	}
+	for i := range r.owned {
+		if o := &r.owned[i]; o.name == name {
+			hit(o.value(), o.hist != nil)
+		}
+	}
+	for _, w := range r.views {
+		if !strings.HasPrefix(name, w.prefix) {
+			continue
+		}
+		w.src.EmitMetrics(func(n string, _ Kind, x uint64) {
+			if named(name, w.prefix, n) {
+				hit(x, false)
+			}
+		})
+	}
+	if !found || isHist {
+		return 0, false
+	}
+	return v, true
+}
+
+// Reset zeroes every owned counter and histogram. Views are over component
+// state and reset with their components; SyncCounters belong to control
+// planes that never reset.
 func (r *Registry) Reset() {
-	for _, m := range r.metrics {
-		m.ctr.Reset()
-		m.hist.Reset()
+	for i := range r.owned {
+		r.owned[i].ctr.Reset()
+		r.owned[i].hist.Reset()
 	}
 }
 
 // Snapshot exports every metric, sorted by name, with values sampled at the
-// moment of the call.
+// moment of the call. It panics if two registrations share a name.
 func (r *Registry) Snapshot() Snapshot {
-	names := make([]string, 0, len(r.metrics))
-	for n := range r.metrics {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := Snapshot{Metrics: make([]Metric, 0, len(names))}
-	for _, n := range names {
-		m := r.metrics[n]
-		e := Metric{Name: n, Kind: m.kind}
-		switch {
-		case m.hist != nil:
-			e.Hist = m.hist.value()
-		case m.sample != nil:
-			e.Value = m.sample()
-		default:
-			e.Value = m.ctr.Value()
+	out := make([]Metric, 0, len(r.owned)+16*len(r.views))
+	for i := range r.owned {
+		o := &r.owned[i]
+		e := Metric{Name: o.name, Kind: KindCounter}
+		if o.hist != nil {
+			e.Kind, e.Hist = KindHistogram, o.hist.value()
+		} else {
+			e.Value = o.value()
 		}
-		out.Metrics = append(out.Metrics, e)
+		out = append(out, e)
 	}
-	return out
+	for _, w := range r.views {
+		w.src.EmitMetrics(func(n string, k Kind, x uint64) {
+			out = append(out, Metric{Name: join(w.prefix, n), Kind: k, Value: x})
+		})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	for i := 1; i < len(out); i++ {
+		if out[i].Name == out[i-1].Name {
+			panic(duplicate(out[i].Name))
+		}
+	}
+	return Snapshot{Metrics: out}
 }

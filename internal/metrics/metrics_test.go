@@ -157,23 +157,61 @@ func TestHistogramNilSafe(t *testing.T) {
 	}
 }
 
+// TestRegistryDuplicatePanics registers each kind of name collision —
+// owned against owned, owned against a view, and two views that join to
+// the same name — and requires every read (Snapshot, and Value of the
+// shared name) to panic, while registration itself stays free.
 func TestRegistryDuplicatePanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
+	gauge := func(name string) SourceFunc {
+		return func(emit Emit) { emit(name, KindGauge, 0) }
+	}
+	for _, tc := range []struct {
+		what  string
+		build func(r *Registry)
+	}{
+		{"owned twice", func(r *Registry) { r.Counter("a.x"); r.Counter("a.x") }},
+		{"owned and view", func(r *Registry) { r.Counter("a.x"); r.Source("a", gauge("x")) }},
+		{"two views", func(r *Registry) { r.Source("a", gauge("x")); r.Source("", gauge("a.x")) }},
+		{"one view twice", func(r *Registry) {
+			r.Source("a", SourceFunc(func(emit Emit) {
+				emit("x", KindCounter, 1)
+				emit("x", KindCounter, 2)
+			}))
+		}},
+	} {
+		for _, read := range []struct {
+			name string
+			f    func(r *Registry)
+		}{
+			{"Snapshot", func(r *Registry) { r.Snapshot() }},
+			{"Value", func(r *Registry) { r.Value("a.x") }},
+		} {
+			r := NewRegistry()
+			tc.build(r)
+			r.Counter("other")
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s did not panic", tc.what, read.name)
+					}
+				}()
+				read.f(r)
+			}()
+			if v, ok := r.Value("other"); !ok || v != 0 {
+				t.Errorf("%s: an unrelated name must still read: %d, %v", tc.what, v, ok)
+			}
 		}
-	}()
-	r.GaugeFunc("x", func() uint64 { return 0 })
+	}
 }
 
 func TestRegistryValueAndReset(t *testing.T) {
 	r := NewRegistry()
 	owned := r.Counter("owned")
 	backing := uint64(41)
-	r.CounterFunc("view", func() uint64 { return backing })
-	r.GaugeFunc("gauge", func() uint64 { return 7 })
+	r.Source("", SourceFunc(func(emit Emit) {
+		emit("view", KindCounter, backing)
+		emit("gauge", KindGauge, 7)
+	}))
 	h := r.MustHistogram("hist", []uint64{10})
 	owned.Add(5)
 	backing++
@@ -200,7 +238,7 @@ func TestRegistryValueAndReset(t *testing.T) {
 		t.Fatal("Reset did not zero owned metrics")
 	}
 	if v, _ := r.Value("view"); v != 42 {
-		t.Fatalf("Reset must not touch function-backed views: %d", v)
+		t.Fatalf("Reset must not touch view sources: %d", v)
 	}
 }
 
@@ -242,7 +280,7 @@ func TestSnapshotStableOrder(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(9)
-	r.GaugeFunc("g", func() uint64 { return 4 })
+	r.Source("", SourceFunc(func(emit Emit) { emit("g", KindGauge, 4) }))
 	h := r.MustHistogram("h", []uint64{1, 10, 100})
 	h.Observe(0)
 	h.Observe(50)

@@ -43,11 +43,12 @@ func (c *SyncCounter) Reset() {
 
 // SyncCounter creates and registers a concurrency-safe counter. It is
 // exported through the snapshot like any other counter (the registry
-// samples it atomically at snapshot time). Registration itself follows the
-// registry's single-writer setup phase: register everything before the
-// first concurrent Snapshot, then only mutate through the returned counter.
+// samples it atomically at snapshot time) but Registry.Reset leaves it
+// alone. Registration itself follows the registry's single-writer setup
+// phase: register everything before the first concurrent Snapshot, then
+// only mutate through the returned counter.
 func (r *Registry) SyncCounter(name string) *SyncCounter {
 	c := &SyncCounter{}
-	r.register(name, &metric{kind: KindCounter, sample: c.Value})
+	r.owned = append(r.owned, owned{name: name, sync: c})
 	return c
 }

@@ -147,9 +147,22 @@ func (t *Tracer) RegisterMetrics(r *Registry, prefix string) {
 	if t == nil || r == nil {
 		return
 	}
-	for k := EventKind(0); k < numEventKinds; k++ {
-		kind := k
-		r.CounterFunc(prefix+".events."+kind.String(), func() uint64 { return t.drops[kind] })
+	r.Source(prefix, t)
+}
+
+// eventMetricNames are the per-kind counter names, relative to the prefix
+// the tracer registers under.
+var eventMetricNames = func() (names [numEventKinds]string) {
+	for k := range names {
+		names[k] = "events." + EventKind(k).String()
+	}
+	return names
+}()
+
+// EmitMetrics implements Source: one counter per event kind.
+func (t *Tracer) EmitMetrics(emit Emit) {
+	for k, n := range t.drops {
+		emit(eventMetricNames[k], KindCounter, n)
 	}
 }
 

@@ -13,11 +13,17 @@ type MetricSource interface {
 // RegisterMetrics exports the FDP throttle's aggressiveness state and
 // interval feedback under prefix ("prefetch.l1d.fdp").
 func (t *Throttle) RegisterMetrics(r *metrics.Registry, prefix string) {
-	r.GaugeFunc(prefix+".level", func() uint64 { return uint64(t.level) })
-	r.CounterFunc(prefix+".accesses", func() uint64 { return t.accesses })
-	r.GaugeFunc(prefix+".interval_useful", func() uint64 { return t.useful })
-	r.GaugeFunc(prefix+".interval_useless", func() uint64 { return t.useless })
+	r.Source(prefix, t)
 	if src, ok := t.Engine.(MetricSource); ok {
 		src.RegisterMetrics(r, prefix+".engine")
 	}
+}
+
+// EmitMetrics implements metrics.Source.
+func (t *Throttle) EmitMetrics(emit metrics.Emit) {
+	const g = metrics.KindGauge
+	emit("level", g, uint64(t.level))
+	emit("accesses", metrics.KindCounter, t.accesses)
+	emit("interval_useful", g, t.useful)
+	emit("interval_useless", g, t.useless)
 }

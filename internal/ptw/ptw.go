@@ -332,6 +332,6 @@ func (w *Walker) CheckInvariants(cycle uint64) error {
 // distribution (memory reads per walk, after PSC skipping) into a metrics
 // registry under prefix ("ptw").
 func (w *Walker) RegisterMetrics(r *metrics.Registry, prefix string) {
-	w.Stats.RegisterMetrics(r, prefix)
+	r.Source(prefix, w.Stats)
 	w.depthHist = r.MustHistogram(prefix+".walk_depth", []uint64{0, 1, 2, 3, 4, 5})
 }

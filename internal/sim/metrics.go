@@ -6,9 +6,11 @@ import (
 )
 
 // registerMetrics builds the system's unified metrics registry: every
-// hardware component registers its counters under a stable hierarchical
-// prefix, and the sim layer adds the cross-component gauges (cycle-aware
-// MSHR/walk occupancy) and the prefetch-path accounting it alone can see.
+// hardware component registers one view source under a stable hierarchical
+// prefix (plus the histograms it observes), and the sim layer adds the
+// cross-component gauges (cycle-aware MSHR/walk occupancy) and the
+// prefetch-path accounting it alone can see. Nothing is named or sampled
+// until the registry is read.
 //
 // private is false for cores of a multi-core system, whose shared LLC and
 // DRAM belong to the machine, not to any one core's registry.
@@ -26,21 +28,7 @@ func (s *System) registerMetrics(private bool) {
 	}
 	s.MMU.RegisterMetrics(r)
 
-	// Cycle-aware occupancy gauges: the components cannot know the current
-	// core cycle, so the sim layer closes over it. These are the fields the
-	// watchdog's stall snapshot reads.
-	r.GaugeFunc("l1d.mshr_inflight", func() uint64 {
-		return uint64(s.L1D.OutstandingMisses(s.Core.Cycle()))
-	})
-	r.GaugeFunc("l2c.mshr_inflight", func() uint64 {
-		return uint64(s.L2C.OutstandingMisses(s.Core.Cycle()))
-	})
-	r.GaugeFunc("llc.mshr_inflight", func() uint64 {
-		return uint64(s.LLC.OutstandingMisses(s.Core.Cycle()))
-	})
-	r.GaugeFunc("ptw.inflight", func() uint64 {
-		return uint64(s.MMU.PTW.Inflight(s.Core.Cycle()))
-	})
+	r.Source("", metrics.SourceFunc(s.emitOccupancy))
 
 	// Prefetch-path accounting lives in the sim layer because the engines
 	// are address-stream transducers with no issue authority: trains,
@@ -71,6 +59,19 @@ func (s *System) registerMetrics(private bool) {
 	if s.Tracer != nil {
 		s.Tracer.RegisterMetrics(r, "trace")
 	}
+}
+
+// emitOccupancy reports the cycle-aware occupancy gauges under their full
+// names: the components cannot know the current core cycle, so the sim
+// layer reads it for them. These are the fields the watchdog's stall
+// snapshot reads.
+func (s *System) emitOccupancy(emit metrics.Emit) {
+	const g = metrics.KindGauge
+	cycle := s.Core.Cycle()
+	emit("l1d.mshr_inflight", g, uint64(s.L1D.OutstandingMisses(cycle)))
+	emit("l2c.mshr_inflight", g, uint64(s.L2C.OutstandingMisses(cycle)))
+	emit("llc.mshr_inflight", g, uint64(s.LLC.OutstandingMisses(cycle)))
+	emit("ptw.inflight", g, uint64(s.MMU.PTW.Inflight(cycle)))
 }
 
 // Snapshot exports the system's complete metric state: every component's

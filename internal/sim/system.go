@@ -636,7 +636,7 @@ func (s *System) ResetStats() {
 	s.epochSnap = epochCounters{}
 	// Registry-owned counters and histograms (MSHR/latency/depth/degree
 	// distributions, epoch count) reset with the stats they accompany; the
-	// function-backed views above reset through their underlying fields.
+	// view sources read the fields zeroed above.
 	s.Metrics.Reset()
 	s.Tracer.Reset()
 }

@@ -2,56 +2,51 @@ package stats
 
 import "repro/internal/metrics"
 
-// RegisterMetrics exports every field of the cache/TLB statistics block as
-// a function-backed counter under prefix ("l1d", "stlb", ...). The struct
-// stays the component's working storage; the registry samples it at
-// snapshot time, so the hot path is unchanged.
-func (s *CacheStats) RegisterMetrics(r *metrics.Registry, prefix string) {
-	reg := func(name string, f *uint64) {
-		r.CounterFunc(prefix+"."+name, func() uint64 { return *f })
-	}
-	reg("demand_accesses", &s.DemandAccesses)
-	reg("demand_hits", &s.DemandHits)
-	reg("demand_misses", &s.DemandMisses)
-	reg("prefetch_issued", &s.PrefetchIssued)
-	reg("prefetch_hits", &s.PrefetchHits)
-	reg("prefetch_fills", &s.PrefetchFills)
-	reg("useful_prefetches", &s.UsefulPrefetches)
-	reg("useless_prefetches", &s.UselessPrefetches)
-	reg("evictions", &s.Evictions)
-	reg("writebacks", &s.Writebacks)
-	reg("demand_latency_sum", &s.DemandLatencySum)
-	reg("mshr_full_waits", &s.MSHRFullWaits)
-	reg("mshr_drop_prefetch", &s.MSHRDropPrefetch)
-	reg("pgc_issued", &s.PGCIssued)
-	reg("pgc_useful", &s.PGCUseful)
-	reg("pgc_useless", &s.PGCUseless)
-	reg("pgc_dropped", &s.PGCDropped)
+// EmitMetrics reports every field of the cache/TLB statistics block as a
+// counter. The struct stays the component's working storage; a registry
+// that holds it as a view source (metrics.Registry.Source) samples it only
+// when read, so the hot path is unchanged.
+func (s *CacheStats) EmitMetrics(emit metrics.Emit) {
+	const c = metrics.KindCounter
+	emit("demand_accesses", c, s.DemandAccesses)
+	emit("demand_hits", c, s.DemandHits)
+	emit("demand_misses", c, s.DemandMisses)
+	emit("prefetch_issued", c, s.PrefetchIssued)
+	emit("prefetch_hits", c, s.PrefetchHits)
+	emit("prefetch_fills", c, s.PrefetchFills)
+	emit("useful_prefetches", c, s.UsefulPrefetches)
+	emit("useless_prefetches", c, s.UselessPrefetches)
+	emit("evictions", c, s.Evictions)
+	emit("writebacks", c, s.Writebacks)
+	emit("demand_latency_sum", c, s.DemandLatencySum)
+	emit("mshr_full_waits", c, s.MSHRFullWaits)
+	emit("mshr_drop_prefetch", c, s.MSHRDropPrefetch)
+	emit("pgc_issued", c, s.PGCIssued)
+	emit("pgc_useful", c, s.PGCUseful)
+	emit("pgc_useless", c, s.PGCUseless)
+	emit("pgc_dropped", c, s.PGCDropped)
 }
 
-// RegisterMetrics exports the core statistics block under prefix ("core").
-func (s *CoreStats) RegisterMetrics(r *metrics.Registry, prefix string) {
-	reg := func(name string, f *uint64) {
-		r.CounterFunc(prefix+"."+name, func() uint64 { return *f })
-	}
-	reg("cycles", &s.Cycles)
-	reg("instructions", &s.Instructions)
-	reg("loads", &s.Loads)
-	reg("stores", &s.Stores)
-	reg("rob_stall_cycles", &s.ROBStallCycles)
-	reg("rob_occupancy_sum", &s.ROBOccupancy)
-	reg("branches", &s.Branches)
-	reg("mispredicts", &s.Mispredicts)
+// EmitMetrics reports every field of the core statistics block as a
+// counter.
+func (s *CoreStats) EmitMetrics(emit metrics.Emit) {
+	const c = metrics.KindCounter
+	emit("cycles", c, s.Cycles)
+	emit("instructions", c, s.Instructions)
+	emit("loads", c, s.Loads)
+	emit("stores", c, s.Stores)
+	emit("rob_stall_cycles", c, s.ROBStallCycles)
+	emit("rob_occupancy_sum", c, s.ROBOccupancy)
+	emit("branches", c, s.Branches)
+	emit("mispredicts", c, s.Mispredicts)
 }
 
-// RegisterMetrics exports the page-walker statistics block under prefix
-// ("ptw").
-func (s *PTWStats) RegisterMetrics(r *metrics.Registry, prefix string) {
-	reg := func(name string, f *uint64) {
-		r.CounterFunc(prefix+"."+name, func() uint64 { return *f })
-	}
-	reg("walks", &s.Walks)
-	reg("speculative_walks", &s.SpeculativeWalks)
-	reg("walk_mem_accesses", &s.WalkMemAccesses)
-	reg("psc_hits", &s.PSCHits)
+// EmitMetrics reports every field of the page-walker statistics block as a
+// counter.
+func (s *PTWStats) EmitMetrics(emit metrics.Emit) {
+	const c = metrics.KindCounter
+	emit("walks", c, s.Walks)
+	emit("speculative_walks", c, s.SpeculativeWalks)
+	emit("walk_mem_accesses", c, s.WalkMemAccesses)
+	emit("psc_hits", c, s.PSCHits)
 }

@@ -18,7 +18,7 @@ func value(t *testing.T, r *metrics.Registry, name string) uint64 {
 func TestCacheStatsRegisterMetrics(t *testing.T) {
 	s := &CacheStats{}
 	r := metrics.NewRegistry()
-	s.RegisterMetrics(r, "l1d")
+	r.Source("l1d", s)
 
 	s.DemandAccesses = 10
 	s.DemandMisses = 4
@@ -31,8 +31,8 @@ func TestCacheStatsRegisterMetrics(t *testing.T) {
 	}
 
 	// The registration must survive the warmup-boundary reset idiom
-	// (*stats = CacheStats{}): closures hold field pointers, and the reset
-	// writes through the same struct.
+	// (*stats = CacheStats{}): the registry holds the block's pointer, and
+	// the reset writes through the same struct.
 	*s = CacheStats{}
 	if got := value(t, r, "l1d.demand_misses"); got != 0 {
 		t.Fatalf("after reset: demand_misses = %d", got)
@@ -46,7 +46,7 @@ func TestCacheStatsRegisterMetrics(t *testing.T) {
 func TestCoreStatsRegisterMetrics(t *testing.T) {
 	s := &CoreStats{Cycles: 100, Instructions: 80, Loads: 30, Branches: 5}
 	r := metrics.NewRegistry()
-	s.RegisterMetrics(r, "core")
+	r.Source("core", s)
 	for name, want := range map[string]uint64{
 		"core.cycles":       100,
 		"core.instructions": 80,
@@ -63,7 +63,7 @@ func TestCoreStatsRegisterMetrics(t *testing.T) {
 func TestPTWStatsRegisterMetrics(t *testing.T) {
 	s := &PTWStats{Walks: 9, SpeculativeWalks: 2, WalkMemAccesses: 27, PSCHits: 4}
 	r := metrics.NewRegistry()
-	s.RegisterMetrics(r, "ptw")
+	r.Source("ptw", s)
 	for name, want := range map[string]uint64{
 		"ptw.walks":             9,
 		"ptw.speculative_walks": 2,

@@ -322,9 +322,13 @@ func (t *TLB) Latency() uint64 { return t.cfg.Latency }
 
 // RegisterMetrics exports the TLB's statistics block into a metrics
 // registry under prefix ("dtlb", "itlb", "stlb").
-func (t *TLB) RegisterMetrics(r *metrics.Registry, prefix string) {
-	t.Stats.RegisterMetrics(r, prefix)
-	r.GaugeFunc(prefix+".entries", func() uint64 { return uint64(t.cfg.Entries()) })
+func (t *TLB) RegisterMetrics(r *metrics.Registry, prefix string) { r.Source(prefix, t) }
+
+// EmitMetrics implements metrics.Source: the statistics block and the
+// capacity.
+func (t *TLB) EmitMetrics(emit metrics.Emit) {
+	t.Stats.EmitMetrics(emit)
+	emit("entries", metrics.KindGauge, uint64(t.cfg.Entries()))
 }
 
 // Flush invalidates every entry (multi-core trace replay).
