@@ -1,11 +1,9 @@
 package campaign
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // keySink keeps the compiler from dropping the benchmarked KeyOf call.
@@ -26,31 +24,29 @@ func BenchmarkKeyOf(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreGetPut measures one store round trip: Put of a real
-// single-core result, then Get of the same key.
-func BenchmarkStoreGetPut(b *testing.B) {
-	cfg, w := tinyConfig(b), workload(b, "spec.stream_s00")
-	run, err := sim.RunWorkload(context.Background(), cfg, w)
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkStoreGet measures one cache hit on a real single-core result:
+// read the entry, check its head and checksum, decode the runs.
+func BenchmarkStoreGet(b *testing.B) {
+	s, k := storedRun(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.Get(k); !ok {
+			b.Fatal("store missed a key it stored")
+		}
 	}
-	k, err := KeyOf(cfg, w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := OpenStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	runs := []*stats.Run{run}
+}
+
+// BenchmarkStorePut measures one durable write of a real single-core
+// result; the file sync dominates it.
+func BenchmarkStorePut(b *testing.B) {
+	s, k := storedRun(b)
+	runs, _ := s.Get(k)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Put(k, runs); err != nil {
 			b.Fatal(err)
-		}
-		if _, ok := s.Get(k); !ok {
-			b.Fatal("store missed a key it just stored")
 		}
 	}
 }

@@ -1,11 +1,16 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -96,4 +101,84 @@ func FuzzSampledVsFull(f *testing.F) {
 			t.Fatal("moving the sampling seed did not move the cache key")
 		}
 	})
+}
+
+// FuzzDecodeRuns holds the store's reader to json.Marshal's bytes in both
+// directions:
+//
+//  1. any payload decodeRuns accepts re-marshals to exactly those bytes, so
+//     Get never serves an entry Put could not have written;
+//  2. json.Marshal of runs built from fuzzed field values is always
+//     accepted and decodes to those runs.
+//
+// The seeds are a real single-core payload, a 2-core mix payload, and runs
+// whose names hold every kind of character json.Marshal escapes.
+func FuzzDecodeRuns(f *testing.F) {
+	s, k := storedRun(f)
+	single, _ := s.Get(k)
+	for _, runs := range [][]*stats.Run{single, mixRuns(f), storeRuns()} {
+		payload, err := json.Marshal(runs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload, runs[0].Workload, runs[0].Suite, runs[0].Core.Cycles, runs[0].Core.Instructions)
+	}
+	for i, name := range escapedNames {
+		f.Add([]byte(nil), name, escapedNames[len(escapedNames)-1-i], uint64(i), ^uint64(i))
+	}
+	f.Add([]byte(`[{"Workload":"\ufffd"}]`), "invalid \xff UTF-8", "\xed\xa0\x80", uint64(0), uint64(1))
+	f.Fuzz(func(t *testing.T, data []byte, workload, suite string, x, y uint64) {
+		if runs, ok := decodeRuns(data); ok {
+			again, err := json.Marshal(runs)
+			if err != nil || !bytes.Equal(again, data) {
+				t.Fatalf("accepted\n%q\nwhich re-marshals to\n%q", data, again)
+			}
+		}
+
+		runs := fuzzRuns(workload, suite, x, y)
+		payload, err := json.Marshal(runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := decodeRuns(payload)
+		if !ok {
+			t.Fatalf("rejected json.Marshal's own bytes\n%q", payload)
+		}
+		if !reflect.DeepEqual(got, runs) {
+			t.Fatalf("decoded\n%+v\nwant\n%+v", got, runs)
+		}
+	})
+}
+
+// fuzzRuns builds one or two runs whose every uint64 field is drawn
+// from x and y (including 0 and the extremes) and whose names are the
+// fuzzed strings made valid UTF-8: json.Marshal writes an invalid byte as
+// \ufffd, so such a name cannot come back from any entry, and Get misses
+// it (TestStoreInvalidUTF8NameMisses).
+func fuzzRuns(workload, suite string, x, y uint64) []*stats.Run {
+	workload = strings.ToValidUTF8(workload, "\uFFFD")
+	suite = strings.ToValidUTF8(suite, "\uFFFD")
+	vals := []uint64{x, y, x ^ y, 0, math.MaxUint64 - x, x >> (y % 64)}
+	n := 0
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Uint64:
+				f.SetUint(vals[n%len(vals)])
+				n++
+			case reflect.Struct:
+				fill(f)
+			}
+		}
+	}
+	runs := make([]*stats.Run, 1+y%2)
+	for i := range runs {
+		runs[i] = &stats.Run{Workload: workload, Suite: suite}
+		if i == 1 {
+			runs[i].Workload, runs[i].Suite = suite, workload
+		}
+		fill(reflect.ValueOf(runs[i]).Elem())
+	}
+	return runs
 }

@@ -6,6 +6,14 @@
 // interrupted campaign re-run over the same cache simulates only the cells
 // that had not completed; a config change invalidates exactly the affected
 // cells (their content hash moves, everything else still hits).
+//
+// The cache reads only what it writes. Store.Put writes json.Marshal's
+// bytes for an entry; Store.Get decodes exactly those bytes in one pass,
+// through a field plan built once by reflection over stats.Run, and reads
+// anything else — including a valid but re-formatted entry — as a miss.
+// The plan supports nested structs, uint64 and string fields only; giving
+// stats.Run a field of another kind needs the decoder extended, and, as
+// any stats change does, a SchemaVersion bump.
 package campaign
 
 import (

@@ -38,14 +38,16 @@ func (s *Store) Dir() string { return s.dir }
 
 // An entry is one JSON object, written without spaces in this field order:
 //
-//	{"key":<k>,"schema":<SchemaVersion>,"checksum":"<hex sha256>","runs":<payload>}
+//	{"key":"<k>","schema":<SchemaVersion>,"checksum":"<hex sha256>","runs":<payload>}
 //
-// Runs holds one *stats.Run per core (length 1 for single-core cells); the
-// checksum covers the payload bytes, so corruption is detected
-// independently of the filename. These are exactly the bytes json.Marshal
-// gives the matching struct, but Put builds them around the payload it
-// marshalled once and Get verifies and decodes only the payload, so an
-// entry re-formatted into another valid layout reads as a miss.
+// The payload is json.Marshal of the runs, one *stats.Run per core (length
+// 1 for single-core cells); the checksum covers the payload bytes, so
+// corruption is detected independently of the filename. These are exactly
+// the bytes json.Marshal gives the matching struct, but Put builds them
+// around the payload it marshalled once, and Get compares the head byte
+// for byte, verifies the checksum and decodes the payload in one pass that
+// accepts only json.Marshal's own bytes (decodeRuns), so an entry
+// re-formatted into another valid layout reads as a miss.
 
 // checksumLen is the length of a hex SHA-256 checksum.
 const checksumLen = 2 * sha256.Size
@@ -57,28 +59,52 @@ func (s *Store) path(k Key) string {
 	return filepath.Join(s.dir, string(k[:2]), string(k)+".json")
 }
 
-// head is the entry's fixed opening up to the checksum's first digit:
-// {"key":<k>,"schema":<SchemaVersion>,"checksum":"
-func head(k Key) []byte {
-	key, _ := json.Marshal(k) // a string always marshals
-	b := append([]byte(`{"key":`), key...)
-	b = append(b, `,"schema":`...)
-	b = strconv.AppendInt(b, SchemaVersion, 10)
-	return append(b, `,"checksum":"`...)
+// validKey reports whether k can name an entry: at least two characters,
+// all lowercase hex digits, as KeyOf writes them. Such a key is its own
+// JSON string and a safe file name.
+func validKey(k Key) bool {
+	if len(k) < 2 {
+		return false
+	}
+	for i := 0; i < len(k); i++ {
+		if c := k[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// headTail follows the key in every entry's head.
+var headTail = `","schema":` + strconv.Itoa(SchemaVersion) + `,"checksum":"`
+
+// appendHead appends the entry's fixed opening up to the checksum's first
+// digit, {"key":"<k>","schema":<SchemaVersion>,"checksum":", for a valid k.
+func appendHead(b []byte, k Key) []byte {
+	b = append(b, `{"key":"`...)
+	b = append(b, k...)
+	return append(b, headTail...)
+}
+
+// appendChecksum appends the lowercase hex SHA-256 of payload.
+func appendChecksum(b, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	return hex.AppendEncode(b, sum[:])
 }
 
 // Get returns the cached runs for k, or ok=false on any miss — absent, not
-// laid out as Put writes it, wrong key, wrong schema version, checksum
-// mismatch, or a payload that does not decode to non-nil runs.
+// laid out byte for byte as Put writes it, wrong key, wrong schema version,
+// checksum mismatch, or a payload that is not json.Marshal's encoding of
+// non-empty, non-nil runs (see decodeRuns).
 func (s *Store) Get(k Key) ([]*stats.Run, bool) {
-	if len(k) < 2 {
+	if !validKey(k) {
 		return nil, false
 	}
 	b, err := os.ReadFile(s.path(k))
 	if err != nil {
 		return nil, false
 	}
-	h := head(k)
+	var buf [128]byte
+	h := appendHead(buf[:0], k)
 	if !bytes.HasPrefix(b, h) {
 		return nil, false
 	}
@@ -88,19 +114,10 @@ func (s *Store) Get(k Key) ([]*stats.Run, bool) {
 		return nil, false
 	}
 	sum, payload := b[:checksumLen], b[checksumLen+len(runsField):len(b)-1]
-	if checksum(payload) != string(sum) {
+	if !bytes.Equal(appendChecksum(buf[:0], payload), sum) {
 		return nil, false
 	}
-	var runs []*stats.Run
-	if err := json.Unmarshal(payload, &runs); err != nil || len(runs) == 0 {
-		return nil, false
-	}
-	for _, r := range runs {
-		if r == nil {
-			return nil, false
-		}
-	}
-	return runs, true
+	return decodeRuns(payload)
 }
 
 // Put stores runs under k, atomically and durably: the entry is written to
@@ -110,14 +127,17 @@ func (s *Store) Get(k Key) ([]*stats.Run, bool) {
 // entry that Put returned for survives a crash. That makes the store the
 // campaign checkpoint.
 func (s *Store) Put(k Key, runs []*stats.Run) error {
-	if len(k) < 2 || len(runs) == 0 {
+	if !validKey(k) {
+		return fmt.Errorf("campaign: refusing to cache under malformed key %q", k)
+	}
+	if len(runs) == 0 {
 		return fmt.Errorf("campaign: refusing to cache empty result")
 	}
 	payload, err := json.Marshal(runs)
 	if err != nil {
 		return fmt.Errorf("campaign: caching result: %w", err)
 	}
-	b := append(head(k), checksum(payload)...)
+	b := appendChecksum(appendHead(nil, k), payload)
 	b = append(b, runsField...)
 	b = append(b, payload...)
 	b = append(b, '}')
@@ -148,9 +168,4 @@ func (s *Store) Put(k Key, runs []*stats.Run) error {
 		return fmt.Errorf("campaign: caching result: %w", err)
 	}
 	return nil
-}
-
-func checksum(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
 }
