@@ -99,7 +99,7 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzUpdateBuffer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lrustack -run '^$$' -fuzz FuzzLRUStack -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tlb -run '^$$' -fuzz FuzzTLB -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/metrics -run '^$$' -fuzz FuzzSnapshotJSON -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/metrics -run '^$$' -fuzz FuzzSnapshotJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
 
 # fmt fails when any Go file is not gofmt-formatted, as CI's gofmt step does.
 fmt:

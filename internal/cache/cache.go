@@ -594,7 +594,7 @@ func (c *Cache) accessWriteback(req *Request, cycle uint64) uint64 {
 // distribution and its miss-latency estimate into a metrics registry under
 // prefix (conventionally the configured name: "l1d", "llc", ...).
 func (c *Cache) RegisterMetrics(r *metrics.Registry, prefix string) {
-	c.mshrHist = r.MustHistogram(prefix+".mshr_occupancy",
+	c.mshrHist = r.Histogram(prefix+".mshr_occupancy",
 		[]uint64{0, 1, 2, 4, 8, 16, 32, 64, 128})
 	r.Source(prefix, c)
 }

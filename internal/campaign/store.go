@@ -23,6 +23,9 @@ import (
 // re-simulation, never a wrong result.
 type Store struct {
 	dir string
+	// root is dir cleaned once and ending in a separator, so an entry's
+	// path is plain concatenation (path).
+	root string
 }
 
 // OpenStore opens (creating if needed) a result cache rooted at dir.
@@ -30,7 +33,11 @@ func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: opening cache: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	root := filepath.Clean(dir)
+	if !os.IsPathSeparator(root[len(root)-1]) {
+		root += string(filepath.Separator)
+	}
+	return &Store{dir: dir, root: root}, nil
 }
 
 // Dir returns the cache root.
@@ -55,8 +62,10 @@ const checksumLen = 2 * sha256.Size
 // runsField separates the checksum from the payload.
 const runsField = `","runs":`
 
+// path is filepath.Join(dir, k[:2], k+".json") for a valid key, whose hex
+// digits leave nothing for Join's Clean to change below the root.
 func (s *Store) path(k Key) string {
-	return filepath.Join(s.dir, string(k[:2]), string(k)+".json")
+	return s.root + string(k[:2]) + string(filepath.Separator) + string(k) + ".json"
 }
 
 // validKey reports whether k can name an entry: at least two characters,
@@ -141,7 +150,7 @@ func (s *Store) Put(k Key, runs []*stats.Run) error {
 	b = append(b, runsField...)
 	b = append(b, payload...)
 	b = append(b, '}')
-	dir := filepath.Dir(s.path(k))
+	dir := s.root + string(k[:2])
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("campaign: caching result: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -83,6 +84,46 @@ func writeEntry(t *testing.T, s *Store, k Key, payload []byte) {
 	b = append(b, '}')
 	if err := os.WriteFile(s.path(k), b, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStorePathMatchesJoin pins path's concatenation against
+// filepath.Join over the root shapes a caller can pass: relative, with a
+// trailing separator, with dot segments, and absolute. Dir keeps returning
+// the root as given.
+func TestStorePathMatchesJoin(t *testing.T) {
+	base := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(base); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	if err := os.MkdirAll("a", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	k := Key("0123456789abcdef")
+	for _, dir := range []string{
+		"cache",
+		"cache/",
+		"./a/../b",
+		"./a/../b/",
+		filepath.Join(base, "abs"),
+		filepath.Join(base, "abs") + "/",
+		"/",
+	} {
+		s, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := filepath.Join(dir, string(k[:2]), string(k)+".json"); s.path(k) != want {
+			t.Errorf("OpenStore(%q).path = %q, want %q", dir, s.path(k), want)
+		}
+		if s.Dir() != dir {
+			t.Errorf("OpenStore(%q).Dir() = %q", dir, s.Dir())
+		}
 	}
 }
 

@@ -2,13 +2,10 @@ package core
 
 import "repro/internal/metrics"
 
-// RegisterMetrics exports the filter's decision and training counters plus
-// its live threshold state into a metrics registry under prefix ("filter").
-// FilterPolicy inherits this through embedding, so the simulator can
-// register any filter-backed page-cross policy uniformly.
-func (f *Filter) RegisterMetrics(r *metrics.Registry, prefix string) { r.Source(prefix, f) }
-
-// EmitMetrics implements metrics.Source.
+// EmitMetrics implements metrics.Source: the filter's decision and
+// training counters plus its live threshold state. FilterPolicy inherits
+// it through embedding, so the simulator registers any filter-backed
+// page-cross policy uniformly.
 func (f *Filter) EmitMetrics(emit metrics.Emit) {
 	const c, g = metrics.KindCounter, metrics.KindGauge
 	emit("issued", c, f.Issued)

@@ -9,7 +9,7 @@ import (
 func TestFilterRegisterMetrics(t *testing.T) {
 	f := newDripper(t)
 	r := metrics.NewRegistry()
-	f.RegisterMetrics(r, "filter")
+	r.Source("filter", f)
 
 	in := Input{PC: 0x400100, VA: 0x7000_0000_0fc0, Delta: 2}
 	_, tag := f.Decide(in)

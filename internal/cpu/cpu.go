@@ -353,11 +353,6 @@ func (c *Core) step() {
 	c.cycle++
 }
 
-// RegisterMetrics exports the core's statistics and live pipeline state
-// into a metrics registry under prefix ("core"). Counters are views over
-// Stats (reset with it); gauges sample the pipeline at snapshot time.
-func (c *Core) RegisterMetrics(r *metrics.Registry, prefix string) { r.Source(prefix, c) }
-
 // EmitMetrics implements metrics.Source: the statistics block, then the
 // pipeline gauges.
 func (c *Core) EmitMetrics(emit metrics.Emit) {

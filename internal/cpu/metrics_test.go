@@ -12,7 +12,7 @@ func TestRegisterMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := metrics.NewRegistry()
-	c.RegisterMetrics(r, "core")
+	r.Source("core", c)
 
 	c.Attach(opTrace(500), 500)
 	runAll(c)

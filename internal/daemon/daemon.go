@@ -311,7 +311,7 @@ func (s *Server) recover() error {
 			return perr
 		}
 		s.queue = append(s.queue, j)
-		s.met.recovered.Inc()
+		s.met.recovered.Add(1)
 		s.logf("daemon: recovered job %s (%d cells, %d already checkpointed)",
 			rec.ID, len(comp.spec.Cells), rec.Progress.Done)
 	}
@@ -406,7 +406,7 @@ func (s *Server) runWarm(j *job) {
 		s.enqueue(j)
 		return
 	}
-	s.met.warmServed.Inc()
+	s.met.warmServed.Add(1)
 	s.finish(j, rep, err)
 }
 
@@ -504,13 +504,13 @@ func (s *Server) finish(j *job, rep *campaign.Report, err error) {
 func (s *Server) retire(j *job) {
 	switch j.state() {
 	case JobDone:
-		s.met.completed.Inc()
+		s.met.completed.Add(1)
 	case JobFailed:
-		s.met.failed.Inc()
+		s.met.failed.Add(1)
 	case JobCanceled:
-		s.met.canceled.Inc()
+		s.met.canceled.Add(1)
 	case JobInterrupted:
-		s.met.interrupted.Inc()
+		s.met.interrupted.Add(1)
 	}
 	if err := s.persist(j); err != nil {
 		s.logf("%v", err)

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -229,7 +230,7 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
 		}
 	}
-	if got := s.met.rejInvalid.Value(); got < 9 {
+	if got := s.met.rejInvalid.Load(); got < 9 {
 		t.Fatalf("rejected.invalid = %d, want >= 9", got)
 	}
 }
@@ -292,7 +293,7 @@ func TestIdempotentSubmit(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || sr.State != JobDone {
 		t.Fatalf("re-submit: %d %s, want existing done job", resp.StatusCode, sr.State)
 	}
-	if got := s.met.submitted.Value(); got != 1 {
+	if got := s.met.submitted.Load(); got != 1 {
 		t.Fatalf("jobs.submitted = %d, want 1 (idempotent)", got)
 	}
 }
@@ -316,8 +317,8 @@ func TestQuotaRejection(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("over-quota response missing Retry-After")
 	}
-	if s.met.rejQuota.Value() != 1 {
-		t.Fatalf("rejected.quota = %d, want 1", s.met.rejQuota.Value())
+	if s.met.rejQuota.Load() != 1 {
+		t.Fatalf("rejected.quota = %d, want 1", s.met.rejQuota.Load())
 	}
 	waitTerminal(t, ts, "j1", 15*time.Second)
 }
@@ -350,8 +351,8 @@ func TestQueueBackpressure(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("queue-full response missing Retry-After")
 	}
-	if s.met.rejQueue.Value() != 1 {
-		t.Fatalf("rejected.queue_full = %d, want 1", s.met.rejQueue.Value())
+	if s.met.rejQueue.Load() != 1 {
+		t.Fatalf("rejected.queue_full = %d, want 1", s.met.rejQueue.Load())
 	}
 	// readyz reflects the saturation.
 	rz, err := http.Get(ts.URL + "/readyz")
@@ -464,7 +465,7 @@ func TestDrainInterruptsAndRecoveryResumes(t *testing.T) {
 		t.Fatalf("recovery served %d cells from the cache and simulated %d, want >= %d hits (checkpointed before drain) and < 4 simulated",
 			sr2.Result.CacheHits, sr2.Result.Simulated, checkpointed)
 	}
-	if got := s2.met.recovered.Value(); got != 1 {
+	if got := s2.met.recovered.Load(); got != 1 {
 		t.Fatalf("jobs.recovered = %d, want 1", got)
 	}
 }
@@ -520,6 +521,56 @@ func TestMetricz(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metricz missing %q", want)
 		}
+	}
+}
+
+// TestHTTPRequestsCountedConcurrently drives the request counter from many
+// goroutines while the registry is read: every request must count once in
+// the snapshot (run under -race, this also checks the view's reads).
+func TestHTTPRequestsCountedConcurrently(t *testing.T) {
+	s, ts := openTest(t, testConfig(t))
+	const goroutines, perG = 8, 25
+	requests := func() uint64 {
+		v, ok := s.Registry().Snapshot().Value("daemon.http.requests")
+		if !ok {
+			t.Error("snapshot has no daemon.http.requests")
+		}
+		return v
+	}
+	stop := make(chan struct{})
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				requests()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				resp, err := ts.Client().Get(ts.URL + "/healthz")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-read
+	if got := requests(); got != goroutines*perG {
+		t.Fatalf("daemon.http.requests = %d, want %d", got, goroutines*perG)
 	}
 }
 
@@ -605,8 +656,8 @@ func TestRateLimitRejection(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("rate-limited response missing Retry-After")
 	}
-	if s.met.rejRate.Value() != 1 {
-		t.Fatalf("rejected.rate_limited = %d, want 1", s.met.rejRate.Value())
+	if s.met.rejRate.Load() != 1 {
+		t.Fatalf("rejected.rate_limited = %d, want 1", s.met.rejRate.Load())
 	}
 }
 

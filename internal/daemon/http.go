@@ -37,7 +37,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metricz", s.handleMetricz)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.met.httpRequests.Inc()
+		s.met.httpRequests.Add(1)
 		mux.ServeHTTP(w, r)
 	})
 }
@@ -94,13 +94,13 @@ type submitResponse struct {
 // an unbounded queue or goroutine.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
-		s.met.rejDraining.Inc()
+		s.met.rejDraining.Add(1)
 		apiError(w, http.StatusServiceUnavailable, 30*time.Second, "daemon is draining")
 		return
 	}
 	client := clientID(r)
 	if ok, retry := s.limiter.allow(client); !ok {
-		s.met.rejRate.Inc()
+		s.met.rejRate.Add(1)
 		apiError(w, http.StatusTooManyRequests, retry, "rate limit exceeded for client %q", client)
 		return
 	}
@@ -109,13 +109,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.met.rejInvalid.Inc()
+		s.met.rejInvalid.Add(1)
 		apiError(w, http.StatusBadRequest, 0, "decoding request: %v", err)
 		return
 	}
 	comp, err := s.compile(&req)
 	if err != nil {
-		s.met.rejInvalid.Inc()
+		s.met.rejInvalid.Add(1)
 		apiError(w, http.StatusBadRequest, 0, "invalid campaign: %v", err)
 		return
 	}
@@ -130,13 +130,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if n := s.activeJobs(client); n >= s.cfg.MaxJobsPerClient {
-		s.met.rejQuota.Inc()
+		s.met.rejQuota.Add(1)
 		apiError(w, http.StatusTooManyRequests, 5*time.Second,
 			"client %q has %d active jobs (quota %d)", client, n, s.cfg.MaxJobsPerClient)
 		return
 	}
 	if d := s.queueDepth(); d >= s.cfg.QueueDepth {
-		s.met.rejQueue.Inc()
+		s.met.rejQueue.Add(1)
 		apiError(w, http.StatusTooManyRequests, 2*time.Second,
 			"job queue is full (%d queued)", d)
 		return
@@ -174,7 +174,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusInternalServerError, 0, "%v", err)
 		return
 	}
-	s.met.submitted.Inc()
+	s.met.submitted.Add(1)
 
 	if s.warmProbe(comp) {
 		s.runWarm(j) // inline: pure cache reads under WarmBudget

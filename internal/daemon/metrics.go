@@ -1,73 +1,65 @@
 package daemon
 
 import (
+	"sync/atomic"
+
 	"repro/internal/campaign"
 	"repro/internal/metrics"
 )
 
-// daemonMetrics is the daemon's control-plane instrumentation, registered
-// in one internal/metrics registry and served (snapshot or stream) by the
-// /metricz endpoint. All counters are SyncCounters — unlike a simulated
-// system, the daemon mutates its registry from many goroutines. Gauges are
-// one view source over live server state, sampled at snapshot time.
+// daemonMetrics is the daemon's control-plane instrumentation, served
+// (snapshot or stream) by the /metricz endpoint from one internal/metrics
+// registry. Unlike a simulated system, the daemon counts from many
+// goroutines, so its counters are atomic fields; one view source under
+// "daemon" emits them and the gauges over live server state, sampled at
+// snapshot time.
 type daemonMetrics struct {
 	reg *metrics.Registry
 
-	submitted   *metrics.SyncCounter
-	completed   *metrics.SyncCounter
-	failed      *metrics.SyncCounter
-	canceled    *metrics.SyncCounter
-	interrupted *metrics.SyncCounter
-	recovered   *metrics.SyncCounter
-	warmServed  *metrics.SyncCounter
+	submitted, completed, failed, canceled atomic.Uint64
+	interrupted, recovered, warmServed     atomic.Uint64
 
-	rejRate     *metrics.SyncCounter
-	rejQuota    *metrics.SyncCounter
-	rejQueue    *metrics.SyncCounter
-	rejDraining *metrics.SyncCounter
-	rejInvalid  *metrics.SyncCounter
+	rejRate, rejQuota, rejQueue, rejDraining, rejInvalid atomic.Uint64
 
-	httpRequests *metrics.SyncCounter
+	httpRequests atomic.Uint64
 
-	cellsSimulated *metrics.SyncCounter
-	cellsCached    *metrics.SyncCounter
-	cellsFailed    *metrics.SyncCounter
-
+	cellsSimulated, cellsCached, cellsFailed atomic.Uint64
 	// Fed by the campaign event stream: cell retry attempts.
-	cellsRetried *metrics.SyncCounter
+	cellsRetried atomic.Uint64
 }
 
-// newDaemonMetrics registers every daemon metric. Registration happens once
+// newDaemonMetrics registers the daemon's view. Registration happens once
 // at server construction, before any concurrent access — the registry is
 // read-only from then on, which is its concurrency contract.
 func newDaemonMetrics(s *Server) *daemonMetrics {
-	reg := metrics.NewRegistry()
-	m := &daemonMetrics{
-		reg:         reg,
-		submitted:   reg.SyncCounter("daemon.jobs.submitted"),
-		completed:   reg.SyncCounter("daemon.jobs.completed"),
-		failed:      reg.SyncCounter("daemon.jobs.failed"),
-		canceled:    reg.SyncCounter("daemon.jobs.canceled"),
-		interrupted: reg.SyncCounter("daemon.jobs.interrupted"),
-		recovered:   reg.SyncCounter("daemon.jobs.recovered"),
-		warmServed:  reg.SyncCounter("daemon.jobs.warm_served"),
-
-		rejRate:     reg.SyncCounter("daemon.rejected.rate_limited"),
-		rejQuota:    reg.SyncCounter("daemon.rejected.quota"),
-		rejQueue:    reg.SyncCounter("daemon.rejected.queue_full"),
-		rejDraining: reg.SyncCounter("daemon.rejected.draining"),
-		rejInvalid:  reg.SyncCounter("daemon.rejected.invalid"),
-
-		httpRequests: reg.SyncCounter("daemon.http.requests"),
-
-		cellsSimulated: reg.SyncCounter("daemon.cells.simulated"),
-		cellsCached:    reg.SyncCounter("daemon.cells.cache_hits"),
-		cellsFailed:    reg.SyncCounter("daemon.cells.failed"),
-
-		cellsRetried: reg.SyncCounter("daemon.cells.retried"),
-	}
-	reg.Source("daemon", metrics.SourceFunc(s.emitGauges))
+	m := &daemonMetrics{reg: metrics.NewRegistry()}
+	m.reg.Source("daemon", metrics.SourceFunc(func(emit metrics.Emit) {
+		m.emitCounters(emit)
+		s.emitGauges(emit)
+	}))
 	return m
+}
+
+// emitCounters reports every counter under its name relative to "daemon".
+func (m *daemonMetrics) emitCounters(emit metrics.Emit) {
+	const c = metrics.KindCounter
+	emit("jobs.submitted", c, m.submitted.Load())
+	emit("jobs.completed", c, m.completed.Load())
+	emit("jobs.failed", c, m.failed.Load())
+	emit("jobs.canceled", c, m.canceled.Load())
+	emit("jobs.interrupted", c, m.interrupted.Load())
+	emit("jobs.recovered", c, m.recovered.Load())
+	emit("jobs.warm_served", c, m.warmServed.Load())
+	emit("rejected.rate_limited", c, m.rejRate.Load())
+	emit("rejected.quota", c, m.rejQuota.Load())
+	emit("rejected.queue_full", c, m.rejQueue.Load())
+	emit("rejected.draining", c, m.rejDraining.Load())
+	emit("rejected.invalid", c, m.rejInvalid.Load())
+	emit("http.requests", c, m.httpRequests.Load())
+	emit("cells.simulated", c, m.cellsSimulated.Load())
+	emit("cells.cache_hits", c, m.cellsCached.Load())
+	emit("cells.failed", c, m.cellsFailed.Load())
+	emit("cells.retried", c, m.cellsRetried.Load())
 }
 
 // emitGauges reports the live server state, sampled at snapshot time.
@@ -92,9 +84,9 @@ func (m *daemonMetrics) addReport(simulated, cached, failed int) {
 
 // onEvent folds one campaign event into the counters. Installed on every
 // job's engine via WithEvents; the stream is already serialised per
-// campaign and the counters are sync, so concurrent jobs compose.
+// campaign and the counters are atomic, so concurrent jobs compose.
 func (m *daemonMetrics) onEvent(ev campaign.Event) {
 	if ev.Kind == campaign.EventCellRetried {
-		m.cellsRetried.Inc()
+		m.cellsRetried.Add(1)
 	}
 }

@@ -171,7 +171,7 @@ func (d *DRAM) RegisterMetrics(r *metrics.Registry, prefix string) {
 	r.Source(prefix, &d.Stats)
 	// Buckets span a row hit under no contention (~105 cycles with Table IV
 	// timings) out to heavily queued accesses.
-	d.latHist = r.MustHistogram(prefix+".latency",
+	d.latHist = r.Histogram(prefix+".latency",
 		[]uint64{110, 140, 180, 230, 300, 400, 600, 1000, 2000, 5000})
 }
 

@@ -44,28 +44,11 @@ func (a VAddr) Page() VAddr { return a &^ (PageSize - 1) }
 // PageID returns the 4KB virtual page number.
 func (a VAddr) PageID() uint64 { return uint64(a) >> PageBits }
 
-// LargePage returns the 2MB-page-aligned address.
-func (a VAddr) LargePage() VAddr { return a &^ (LargePageSize - 1) }
-
 // LargePageID returns the 2MB virtual page number.
 func (a VAddr) LargePageID() uint64 { return uint64(a) >> LargePageBits }
 
 // PageOffset returns the offset of the address inside its 4KB page.
 func (a VAddr) PageOffset() uint64 { return uint64(a) & (PageSize - 1) }
-
-// LineOffset returns the index of the cache line inside its 4KB page (0..63).
-func (a VAddr) LineOffset() uint64 { return (uint64(a) >> LineBits) & (LinesPerPage - 1) }
-
-// AddLines returns the address displaced by n cache lines (n may be negative).
-func (a VAddr) AddLines(n int64) VAddr {
-	return VAddr(int64(a) + n*LineSize)
-}
-
-// SamePage reports whether both addresses fall in the same 4KB page.
-func (a VAddr) SamePage(b VAddr) bool { return a.PageID() == b.PageID() }
-
-// SameLargePage reports whether both addresses fall in the same 2MB page.
-func (a VAddr) SameLargePage(b VAddr) bool { return a.LargePageID() == b.LargePageID() }
 
 // Line returns the cache-line-aligned physical address.
 func (a PAddr) Line() PAddr { return a &^ (LineSize - 1) }

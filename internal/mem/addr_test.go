@@ -35,45 +35,8 @@ func TestPageGeometry(t *testing.T) {
 	if a.PageOffset() != 0x678 {
 		t.Fatalf("PageOffset() = %#x", a.PageOffset())
 	}
-	if a.LineOffset() != 0x678>>LineBits {
-		t.Fatalf("LineOffset() = %d", a.LineOffset())
-	}
-	if a.LargePage() != 0x7fff_1220_0000 {
-		t.Fatalf("LargePage() = %#x", uint64(a.LargePage()))
-	}
-}
-
-func TestSamePage(t *testing.T) {
-	base := VAddr(0x1000)
-	if !base.SamePage(base + PageSize - 1) {
-		t.Error("addresses inside one page reported as different pages")
-	}
-	if base.SamePage(base + PageSize) {
-		t.Error("addresses in adjacent pages reported as same page")
-	}
-	if !base.SameLargePage(base + PageSize) {
-		t.Error("adjacent 4K pages in one 2M page reported as different large pages")
-	}
-	if base.SameLargePage(base + LargePageSize) {
-		t.Error("adjacent 2M pages reported as same large page")
-	}
-}
-
-func TestAddLines(t *testing.T) {
-	a := VAddr(0x2000)
-	if got := a.AddLines(1); got != 0x2040 {
-		t.Fatalf("AddLines(1) = %#x", uint64(got))
-	}
-	if got := a.AddLines(-1); got != 0x1fc0 {
-		t.Fatalf("AddLines(-1) = %#x", uint64(got))
-	}
-	// Crossing a page boundary forward.
-	edge := VAddr(PageSize - LineSize)
-	if got := edge.AddLines(1); got != PageSize {
-		t.Fatalf("AddLines across page = %#x", uint64(got))
-	}
-	if edge.SamePage(edge.AddLines(1)) {
-		t.Fatal("AddLines(1) from last line of page should cross the page")
+	if a.LargePageID() != 0x7fff_1234_5678>>LargePageBits {
+		t.Fatalf("LargePageID() = %#x", a.LargePageID())
 	}
 }
 
@@ -123,16 +86,14 @@ func TestAlignmentProperties(t *testing.T) {
 	idempotent := func(x uint64) bool {
 		a := VAddr(x)
 		return a.Line().Line() == a.Line() &&
-			a.Page().Page() == a.Page() &&
-			a.LargePage().LargePage() == a.LargePage()
+			a.Page().Page() == a.Page()
 	}
 	if err := quick.Check(idempotent, nil); err != nil {
 		t.Error(err)
 	}
 	contained := func(x uint64) bool {
 		a := VAddr(x)
-		return a.Page() <= a.Line() && a.Line() <= a &&
-			a.LargePage() <= a.Page()
+		return a.Page() <= a.Line() && a.Line() <= a
 	}
 	if err := quick.Check(contained, nil); err != nil {
 		t.Error(err)

@@ -23,8 +23,8 @@ func FuzzSnapshotJSON(f *testing.F) {
 
 	// One machine-generated seed, exactly as the registry would emit it.
 	r := NewRegistry()
-	r.Counter("core.cycles").Add(123)
-	r.MustHistogram("dram.latency", []uint64{100, 500}).Observe(250)
+	r.Source("core", SourceFunc(func(emit Emit) { emit("cycles", KindCounter, 123) }))
+	r.Histogram("dram.latency", []uint64{100, 500}).Observe(250)
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteJSON(&buf); err != nil {
 		f.Fatal(err)

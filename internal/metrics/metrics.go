@@ -6,25 +6,26 @@
 //
 // Design constraints, in order:
 //
-//   - Allocation-free hot path. Components hold *Counter / *Histogram
-//     pointers obtained at registration time; Add/Observe are plain field
-//     arithmetic with no map lookups, no interface boxing, no allocation.
-//   - Zero cost when absent. Every mutating method is a no-op on a nil
-//     receiver, so an uninstrumented component (or a system built without a
-//     registry) pays one nil check, nothing else.
+//   - Allocation-free hot path. A counter is a plain field of the
+//     component that counts it, incremented in place; a histogram is a
+//     *Histogram obtained at registration time, whose Observe is field
+//     arithmetic with no map lookup, no interface boxing, no allocation.
+//   - Zero cost when absent. Observe is a no-op on a nil histogram, so a
+//     component built without a registry pays one nil check, nothing else.
 //   - Deterministic export. Snapshot() sorts by metric name and carries only
 //     integer values, so two runs of the same seed produce byte-identical
 //     JSON — the property the golden-stats regression suite locks down.
 //
-// Existing statistics structs (stats.CacheStats and friends) remain the
-// components' working storage. Each component enters the registry as one
-// view Source: a method that emits (name, kind, value) for its fields. The
+// The registry holds two things. Each component enters it as one view
+// Source: a method that emits (name, kind, value) for the counters and
+// gauges in its own working storage (stats.CacheStats and friends). The
 // registry stores the source and nothing else, and builds names and samples
 // values only inside Snapshot and Value, so an unread registry costs one
 // slice entry per component. Distributional metrics (DRAM latency,
 // page-walk depth, MSHR occupancy, prefetch degree) are native Histograms,
-// observed in place; a histogram whose last bound is at most 1023 maps a
-// sample to its bucket with one table load, a wider one scans its bounds.
+// owned by the registry and observed in place; a histogram whose last bound
+// is at most 1023 maps a sample to its bucket with one table load, a wider
+// one scans its bounds.
 package metrics
 
 import (
@@ -42,42 +43,6 @@ const (
 	KindGauge     Kind = "gauge"
 	KindHistogram Kind = "histogram"
 )
-
-// Counter is a monotonically increasing uint64. The zero value is ready to
-// use; all methods are nil-safe no-ops so an unregistered component costs
-// one branch.
-type Counter struct {
-	v uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Reset zeroes the counter (warmup/measurement boundary).
-func (c *Counter) Reset() {
-	if c != nil {
-		c.v = 0
-	}
-}
 
 // Histogram is a fixed-bucket distribution over uint64 samples. Bounds are
 // inclusive upper edges; samples above the last bound land in an implicit
@@ -206,19 +171,10 @@ type SourceFunc func(emit Emit)
 // EmitMetrics calls f.
 func (f SourceFunc) EmitMetrics(emit Emit) { f(emit) }
 
-// owned is one eagerly registered instrument the hot path mutates.
+// owned is one histogram the registry built and the hot path observes.
 type owned struct {
 	name string
-	ctr  *Counter
-	sync *SyncCounter
 	hist *Histogram
-}
-
-func (o *owned) value() uint64 {
-	if o.sync != nil {
-		return o.sync.Value()
-	}
-	return o.ctr.Value()
 }
 
 // view is one registered source and the prefix its names sit under.
@@ -245,13 +201,13 @@ func named(full, prefix, name string) bool {
 }
 
 // Registry is a flat namespace of metrics with hierarchical dotted names
-// ("l1d.demand_misses", "ptw.walk_depth"). Owned counters and histograms
-// are built at registration; view sources are only stored, and their names
-// and values exist only inside Snapshot and Value. A duplicate name is a
-// wiring bug, reported by a panic there. The registry is not synchronised:
-// register everything first, then read it from any number of goroutines
-// (each simulated system owns one registry and runs single-threaded; the
-// daemon's shared registry mutates only through SyncCounters).
+// ("l1d.demand_misses", "ptw.walk_depth"). It holds view sources and
+// histograms only: histograms are built at registration, sources are only
+// stored, and their names and values exist only inside Snapshot and Value.
+// A duplicate name is a wiring bug, reported by a panic there. The registry
+// is not synchronised: register everything first, then read it from any
+// number of goroutines (each simulated system owns one registry and runs
+// single-threaded; the daemon's shared registry reads atomic fields).
 type Registry struct {
 	owned []owned
 	views []view
@@ -259,13 +215,6 @@ type Registry struct {
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
-
-// Counter creates and registers an owned counter.
-func (r *Registry) Counter(name string) *Counter {
-	c := &Counter{}
-	r.owned = append(r.owned, owned{name: name, ctr: c})
-	return c
-}
 
 // Source registers a view source under prefix ("l1d", "prefetch.l1d.fdp";
 // "" for sources that emit full names). Its fields are sampled at snapshot
@@ -275,22 +224,15 @@ func (r *Registry) Source(prefix string, src Source) {
 	r.views = append(r.views, view{prefix: prefix, src: src})
 }
 
-// Histogram creates and registers an owned histogram with the given bounds.
-func (r *Registry) Histogram(name string, bounds []uint64) (*Histogram, error) {
+// Histogram creates and registers an owned histogram with the given bounds,
+// which are statically known: bounds NewHistogram rejects are a wiring bug,
+// reported by a panic.
+func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
 	h, err := NewHistogram(bounds)
-	if err != nil {
-		return nil, err
-	}
-	r.owned = append(r.owned, owned{name: name, hist: h})
-	return h, nil
-}
-
-// MustHistogram is Histogram for statically known (correct) bounds.
-func (r *Registry) MustHistogram(name string, bounds []uint64) *Histogram {
-	h, err := r.Histogram(name, bounds)
 	if err != nil {
 		panic(err)
 	}
+	r.owned = append(r.owned, owned{name: name, hist: h})
 	return h
 }
 
@@ -312,8 +254,8 @@ func (r *Registry) Value(name string) (uint64, bool) {
 		v, found, isHist = x, true, hist
 	}
 	for i := range r.owned {
-		if o := &r.owned[i]; o.name == name {
-			hit(o.value(), o.hist != nil)
+		if r.owned[i].name == name {
+			hit(0, true)
 		}
 	}
 	for _, w := range r.views {
@@ -332,12 +274,10 @@ func (r *Registry) Value(name string) (uint64, bool) {
 	return v, true
 }
 
-// Reset zeroes every owned counter and histogram. Views are over component
-// state and reset with their components; SyncCounters belong to control
-// planes that never reset.
+// Reset zeroes every owned histogram. Views are over component state and
+// reset with their components.
 func (r *Registry) Reset() {
 	for i := range r.owned {
-		r.owned[i].ctr.Reset()
 		r.owned[i].hist.Reset()
 	}
 }
@@ -348,13 +288,7 @@ func (r *Registry) Snapshot() Snapshot {
 	out := make([]Metric, 0, len(r.owned)+16*len(r.views))
 	for i := range r.owned {
 		o := &r.owned[i]
-		e := Metric{Name: o.name, Kind: KindCounter}
-		if o.hist != nil {
-			e.Kind, e.Hist = KindHistogram, o.hist.value()
-		} else {
-			e.Value = o.value()
-		}
-		out = append(out, e)
+		out = append(out, Metric{Name: o.name, Kind: KindHistogram, Hist: o.hist.value()})
 	}
 	for _, w := range r.views {
 		w.src.EmitMetrics(func(n string, k Kind, x uint64) {

@@ -8,43 +8,10 @@ import (
 	"testing"
 )
 
-// TestCounterMonotonic is a property test: under any sequence of Inc/Add the
-// counter equals the running sum and never decreases.
-func TestCounterMonotonic(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var c Counter
-	var want, prev uint64
-	for i := 0; i < 10_000; i++ {
-		if rng.Intn(2) == 0 {
-			c.Inc()
-			want++
-		} else {
-			n := uint64(rng.Intn(1000))
-			c.Add(n)
-			want += n
-		}
-		if got := c.Value(); got != want {
-			t.Fatalf("step %d: counter = %d, want %d", i, got, want)
-		}
-		if c.Value() < prev {
-			t.Fatalf("step %d: counter decreased %d -> %d", i, prev, c.Value())
-		}
-		prev = c.Value()
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatalf("after Reset: %d", c.Value())
-	}
-}
-
-func TestCounterNilSafe(t *testing.T) {
-	var c *Counter
-	c.Inc()
-	c.Add(7)
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatalf("nil counter value = %d", c.Value())
-	}
+// fixed registers a view that reports one counter under its full name, as
+// a component's statistics field would.
+func fixed(r *Registry, name string, v uint64) {
+	r.Source("", SourceFunc(func(emit Emit) { emit(name, KindCounter, v) }))
 }
 
 func TestHistogramBoundsValidation(t *testing.T) {
@@ -158,8 +125,8 @@ func TestHistogramNilSafe(t *testing.T) {
 }
 
 // TestRegistryDuplicatePanics registers each kind of name collision —
-// owned against owned, owned against a view, and two views that join to
-// the same name — and requires every read (Snapshot, and Value of the
+// histogram against histogram, a histogram against a view, and two views
+// that join to the same name — and requires every read (Snapshot, and Value of the
 // shared name) to panic, while registration itself stays free.
 func TestRegistryDuplicatePanics(t *testing.T) {
 	gauge := func(name string) SourceFunc {
@@ -169,8 +136,8 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 		what  string
 		build func(r *Registry)
 	}{
-		{"owned twice", func(r *Registry) { r.Counter("a.x"); r.Counter("a.x") }},
-		{"owned and view", func(r *Registry) { r.Counter("a.x"); r.Source("a", gauge("x")) }},
+		{"histogram twice", func(r *Registry) { r.Histogram("a.x", []uint64{1}); r.Histogram("a.x", []uint64{1}) }},
+		{"histogram and view", func(r *Registry) { r.Histogram("a.x", []uint64{1}); r.Source("a", gauge("x")) }},
 		{"two views", func(r *Registry) { r.Source("a", gauge("x")); r.Source("", gauge("a.x")) }},
 		{"one view twice", func(r *Registry) {
 			r.Source("a", SourceFunc(func(emit Emit) {
@@ -188,7 +155,7 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 		} {
 			r := NewRegistry()
 			tc.build(r)
-			r.Counter("other")
+			fixed(r, "other", 0)
 			func() {
 				defer func() {
 					if recover() == nil {
@@ -206,21 +173,19 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 
 func TestRegistryValueAndReset(t *testing.T) {
 	r := NewRegistry()
-	owned := r.Counter("owned")
 	backing := uint64(41)
 	r.Source("", SourceFunc(func(emit Emit) {
 		emit("view", KindCounter, backing)
 		emit("gauge", KindGauge, 7)
 	}))
-	h := r.MustHistogram("hist", []uint64{10})
-	owned.Add(5)
+	h := r.Histogram("hist", []uint64{10})
 	backing++
 	h.Observe(3)
 
 	for _, tc := range []struct {
 		name string
 		want uint64
-	}{{"owned", 5}, {"view", 42}, {"gauge", 7}} {
+	}{{"view", 42}, {"gauge", 7}} {
 		got, ok := r.Value(tc.name)
 		if !ok || got != tc.want {
 			t.Fatalf("Value(%q) = %d, %v; want %d, true", tc.name, got, ok, tc.want)
@@ -234,8 +199,8 @@ func TestRegistryValueAndReset(t *testing.T) {
 	}
 
 	r.Reset()
-	if owned.Value() != 0 || h.Count() != 0 {
-		t.Fatal("Reset did not zero owned metrics")
+	if h.Count() != 0 {
+		t.Fatal("Reset did not zero the histogram")
 	}
 	if v, _ := r.Value("view"); v != 42 {
 		t.Fatalf("Reset must not touch view sources: %d", v)
@@ -250,9 +215,9 @@ func TestSnapshotStableOrder(t *testing.T) {
 		r := NewRegistry()
 		for _, n := range names {
 			if strings.HasPrefix(n, "h.") {
-				r.MustHistogram(n, []uint64{1, 2}).Observe(1)
+				r.Histogram(n, []uint64{1, 2}).Observe(1)
 			} else {
-				r.Counter(n).Add(3)
+				fixed(r, n, 3)
 			}
 		}
 		return r.Snapshot()
@@ -279,9 +244,9 @@ func TestSnapshotStableOrder(t *testing.T) {
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c").Add(9)
+	fixed(r, "c", 9)
 	r.Source("", SourceFunc(func(emit Emit) { emit("g", KindGauge, 4) }))
-	h := r.MustHistogram("h", []uint64{1, 10, 100})
+	h := r.Histogram("h", []uint64{1, 10, 100})
 	h.Observe(0)
 	h.Observe(50)
 	h.Observe(5000)
@@ -321,16 +286,16 @@ func TestDiff(t *testing.T) {
 		return r.Snapshot()
 	}
 	old := mk(func(r *Registry) {
-		r.Counter("same").Add(1)
-		r.Counter("drift").Add(10)
-		r.Counter("gone").Add(3)
-		r.MustHistogram("h", []uint64{5}).Observe(1)
+		fixed(r, "same", 1)
+		fixed(r, "drift", 10)
+		fixed(r, "gone", 3)
+		r.Histogram("h", []uint64{5}).Observe(1)
 	})
 	new_ := mk(func(r *Registry) {
-		r.Counter("same").Add(1)
-		r.Counter("drift").Add(12)
-		r.Counter("added").Add(8)
-		h := r.MustHistogram("h", []uint64{5})
+		fixed(r, "same", 1)
+		fixed(r, "drift", 12)
+		fixed(r, "added", 8)
+		h := r.Histogram("h", []uint64{5})
 		h.Observe(1)
 		h.Observe(100)
 	})
@@ -423,7 +388,7 @@ func TestTracerEmitNoAllocs(t *testing.T) {
 func TestTracerRegisterMetrics(t *testing.T) {
 	tr, _ := NewTracer(8)
 	r := NewRegistry()
-	tr.RegisterMetrics(r, "trace")
+	r.Source("trace", tr)
 	tr.Emit(1, EvPageCrossIssue, 0, 0)
 	tr.Emit(2, EvPageCrossIssue, 0, 0)
 	tr.Emit(3, EvPageCrossDrop, 0, 0)

@@ -140,16 +140,6 @@ func (t *Tracer) Reset() {
 	t.drops = [numEventKinds]uint64{}
 }
 
-// RegisterMetrics exports the tracer's own accounting into a registry:
-// lifetime event totals per kind, so snapshots record event-rate statistics
-// even when the ring has wrapped.
-func (t *Tracer) RegisterMetrics(r *Registry, prefix string) {
-	if t == nil || r == nil {
-		return
-	}
-	r.Source(prefix, t)
-}
-
 // eventMetricNames are the per-kind counter names, relative to the prefix
 // the tracer registers under.
 var eventMetricNames = func() (names [numEventKinds]string) {
@@ -159,7 +149,8 @@ var eventMetricNames = func() (names [numEventKinds]string) {
 	return names
 }()
 
-// EmitMetrics implements Source: one counter per event kind.
+// EmitMetrics implements Source: lifetime event totals per kind, so
+// snapshots record event-rate statistics even when the ring has wrapped.
 func (t *Tracer) EmitMetrics(emit Emit) {
 	for k, n := range t.drops {
 		emit(eventMetricNames[k], KindCounter, n)

@@ -7,10 +7,19 @@ import (
 	"repro/internal/metrics"
 )
 
+// register exports the whole translation path under the names a simulated
+// system gives it.
+func register(r *metrics.Registry, mm *MMU) {
+	r.Source("dtlb", mm.DTLB)
+	r.Source("itlb", mm.ITLB)
+	r.Source("stlb", mm.STLB)
+	mm.PTW.RegisterMetrics(r, "ptw")
+}
+
 func TestRegisterMetricsAndTracer(t *testing.T) {
 	mm, _, _ := newMMU(t)
 	r := metrics.NewRegistry()
-	mm.RegisterMetrics(r)
+	register(r, mm)
 	tr, err := metrics.NewTracer(64)
 	if err != nil {
 		t.Fatal(err)

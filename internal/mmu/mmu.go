@@ -220,16 +220,6 @@ func (m *MMU) CheckInvariants(resolve func(mem.VAddr) (vmem.Translation, bool), 
 	return m.PTW.CheckInvariants(cycle)
 }
 
-// RegisterMetrics exports the whole translation path — all three TLBs and
-// the page walker — into a metrics registry, and points the walker at the
-// same tracer the MMU uses.
-func (m *MMU) RegisterMetrics(r *metrics.Registry) {
-	m.DTLB.RegisterMetrics(r, "dtlb")
-	m.ITLB.RegisterMetrics(r, "itlb")
-	m.STLB.RegisterMetrics(r, "stlb")
-	m.PTW.RegisterMetrics(r, "ptw")
-}
-
 // SetTracer wires an event tracer into the MMU and its walker.
 func (m *MMU) SetTracer(t *metrics.Tracer) {
 	m.Trace = t

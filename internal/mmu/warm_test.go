@@ -13,7 +13,7 @@ import (
 func TestWarmFillsTranslationPathQuietly(t *testing.T) {
 	mm, as, _ := newMMU(t)
 	reg := metrics.NewRegistry()
-	mm.RegisterMetrics(reg)
+	register(reg, mm)
 
 	dva := mem.VAddr(0x7000_1111_2000)
 	iva := mem.VAddr(0x0000_5555_3000)

@@ -9,7 +9,7 @@ import (
 func TestThrottleRegisterMetrics(t *testing.T) {
 	th := NewThrottle(NewBerti())
 	r := metrics.NewRegistry()
-	th.RegisterMetrics(r, "prefetch.l1d.fdp")
+	r.Source("prefetch.l1d.fdp", th)
 
 	th.Train(Access{Addr: 0x1000, PC: 0x400100, Cycle: 10})
 	th.Train(Access{Addr: 0x1040, PC: 0x400100, Cycle: 20})

@@ -333,5 +333,5 @@ func (w *Walker) CheckInvariants(cycle uint64) error {
 // registry under prefix ("ptw").
 func (w *Walker) RegisterMetrics(r *metrics.Registry, prefix string) {
 	r.Source(prefix, w.Stats)
-	w.depthHist = r.MustHistogram(prefix+".walk_depth", []uint64{0, 1, 2, 3, 4, 5})
+	w.depthHist = r.Histogram(prefix+".walk_depth", []uint64{0, 1, 2, 3, 4, 5})
 }

@@ -48,9 +48,9 @@ func TestDripperRunAllocsBounded(t *testing.T) {
 }
 
 // TestNewAllocBudget bounds what building a system allocates. Every
-// component's statistics enter the registry as one view source, so
-// registration costs a slice entry per component plus the owned counters
-// and histograms the hot path updates; the rest is the models' own tables.
+// component's counters enter the registry as one view source, so
+// registration costs a slice entry per component plus the histograms the
+// hot path observes; the rest is the models' own tables. New measures 160.
 func TestNewAllocBudget(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Policy = PolicyDripper
@@ -60,8 +60,8 @@ func TestNewAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("New: %.0f allocs", allocs)
-	if allocs > 180 {
-		t.Fatalf("New allocates %.0f times, want <= 180", allocs)
+	if allocs > 165 {
+		t.Fatalf("New allocates %.0f times, want <= 165", allocs)
 	}
 }
 

@@ -1,16 +1,26 @@
 package sim
 
-import (
-	"repro/internal/metrics"
-	"repro/internal/prefetch"
-)
+import "repro/internal/metrics"
+
+// simCounters is the sim layer's own accounting. Prefetch-path trains and
+// candidate production live here because the engines are address-stream
+// transducers with no issue authority; the sample fields count the
+// sampling schedule's segments and instructions. ResetStats zeroes them
+// with the components' statistics.
+type simCounters struct {
+	l1dTrains, l1dCandidates     uint64
+	l1iCandidates, l2cCandidates uint64
+	epochs                       uint64
+
+	sampleSegments, sampleWarmInstrs, sampleMeasuredInstrs uint64
+}
 
 // registerMetrics builds the system's unified metrics registry: every
-// hardware component registers one view source under a stable hierarchical
-// prefix (plus the histograms it observes), and the sim layer adds the
-// cross-component gauges (cycle-aware MSHR/walk occupancy) and the
-// prefetch-path accounting it alone can see. Nothing is named or sampled
-// until the registry is read.
+// hardware component enters it as one view source under a stable
+// hierarchical prefix (plus the histograms it observes), and the sim layer
+// adds its own view: the prefetch-path accounting it alone can see and the
+// cross-component gauges (cycle-aware MSHR/walk occupancy). Nothing is
+// named or sampled until the registry is read.
 //
 // private is false for cores of a multi-core system, whose shared LLC and
 // DRAM belong to the machine, not to any one core's registry.
@@ -18,7 +28,7 @@ func (s *System) registerMetrics(private bool) {
 	r := metrics.NewRegistry()
 	s.Metrics = r
 
-	s.Core.RegisterMetrics(r, "core")
+	r.Source("core", s.Core)
 	s.L1I.RegisterMetrics(r, "l1i")
 	s.L1D.RegisterMetrics(r, "l1d")
 	s.L2C.RegisterMetrics(r, "l2c")
@@ -26,47 +36,45 @@ func (s *System) registerMetrics(private bool) {
 		s.LLC.RegisterMetrics(r, "llc")
 		s.DRAM.RegisterMetrics(r, "dram")
 	}
-	s.MMU.RegisterMetrics(r)
+	r.Source("dtlb", s.MMU.DTLB)
+	r.Source("itlb", s.MMU.ITLB)
+	r.Source("stlb", s.MMU.STLB)
+	s.MMU.PTW.RegisterMetrics(r, "ptw")
 
-	r.Source("", metrics.SourceFunc(s.emitOccupancy))
-
-	// Prefetch-path accounting lives in the sim layer because the engines
-	// are address-stream transducers with no issue authority: trains,
-	// candidate production and the per-train issue degree (fill level).
-	s.mL1DTrains = r.Counter("prefetch.l1d.trains")
-	s.mL1DCandidates = r.Counter("prefetch.l1d.candidates")
-	s.mL1ICandidates = r.Counter("prefetch.l1i.candidates")
-	s.mL2CCandidates = r.Counter("prefetch.l2c.candidates")
-	s.mDegreeHist = r.MustHistogram("prefetch.l1d.degree", []uint64{0, 1, 2, 3, 4, 8, 16})
-	if src, ok := s.L1DPf.(prefetch.MetricSource); ok {
-		src.RegisterMetrics(r, "prefetch.l1d.fdp")
+	r.Source("", metrics.SourceFunc(s.emitMetrics))
+	s.mDegreeHist = r.Histogram("prefetch.l1d.degree", []uint64{0, 1, 2, 3, 4, 8, 16})
+	// The FDP throttle and filter-backed page-cross policies (FilterPolicy
+	// through its embedded *core.Filter) export their own state.
+	if src, ok := s.L1DPf.(metrics.Source); ok {
+		r.Source("prefetch.l1d.fdp", src)
 	}
-
-	// The page-cross policy: filter-backed policies expose their decision
-	// and training counters plus live threshold state.
-	if src, ok := s.Policy.(interface {
-		RegisterMetrics(*metrics.Registry, string)
-	}); ok {
-		src.RegisterMetrics(r, "filter")
-	}
-
-	s.mEpochs = r.Counter("sim.epochs")
-	if s.cfg.Sample.Enabled {
-		s.mSampleSegments = r.Counter("sample.segments")
-		s.mSampleWarmInstrs = r.Counter("sample.warm_instrs")
-		s.mSampleMeasuredInstrs = r.Counter("sample.measured_instrs")
+	if src, ok := s.Policy.(metrics.Source); ok {
+		r.Source("filter", src)
 	}
 	if s.Tracer != nil {
-		s.Tracer.RegisterMetrics(r, "trace")
+		r.Source("trace", s.Tracer)
 	}
 }
 
-// emitOccupancy reports the cycle-aware occupancy gauges under their full
-// names: the components cannot know the current core cycle, so the sim
-// layer reads it for them. These are the fields the watchdog's stall
-// snapshot reads.
-func (s *System) emitOccupancy(emit metrics.Emit) {
-	const g = metrics.KindGauge
+// emitMetrics is the sim layer's view, under full names: its counters, then
+// the cycle-aware occupancy gauges the watchdog's stall snapshot reads (the
+// components cannot know the current core cycle, so the sim layer reads it
+// for them). The sample counters exist only in a sampled system, so
+// full-simulation snapshots are byte-identical with and without the
+// sampling subsystem compiled in.
+func (s *System) emitMetrics(emit metrics.Emit) {
+	const c, g = metrics.KindCounter, metrics.KindGauge
+	n := &s.counters
+	emit("prefetch.l1d.trains", c, n.l1dTrains)
+	emit("prefetch.l1d.candidates", c, n.l1dCandidates)
+	emit("prefetch.l1i.candidates", c, n.l1iCandidates)
+	emit("prefetch.l2c.candidates", c, n.l2cCandidates)
+	emit("sim.epochs", c, n.epochs)
+	if s.cfg.Sample.Enabled {
+		emit("sample.segments", c, n.sampleSegments)
+		emit("sample.warm_instrs", c, n.sampleWarmInstrs)
+		emit("sample.measured_instrs", c, n.sampleMeasuredInstrs)
+	}
 	cycle := s.Core.Cycle()
 	emit("l1d.mshr_inflight", g, uint64(s.L1D.OutstandingMisses(cycle)))
 	emit("l2c.mshr_inflight", g, uint64(s.L2C.OutstandingMisses(cycle)))

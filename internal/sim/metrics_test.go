@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -40,7 +41,8 @@ func checkRegistry(t *testing.T, what string, r *metrics.Registry) {
 
 // TestRegistryConsistency runs one system of each registration shape — the
 // default single core, a sampled run, a traced run, an FDP-throttled L1D
-// prefetcher and a shared-LLC mix — and checks every registry it builds.
+// prefetcher and a shared-LLC mix — and checks every registry it builds,
+// including that only the sampled one names sample.* counters.
 func TestRegistryConsistency(t *testing.T) {
 	w, ok := trace.ByName("spec.pagehop_s00")
 	if !ok {
@@ -70,6 +72,16 @@ func TestRegistryConsistency(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		checkRegistry(t, tc.name, sys.Metrics)
+		// sample.* exists only in a sampled system's snapshot.
+		samples := 0
+		for _, m := range sys.Snapshot().Metrics {
+			if strings.HasPrefix(m.Name, "sample.") {
+				samples++
+			}
+		}
+		if want := map[bool]int{false: 0, true: 3}[cfg.Sample.Enabled]; samples != want {
+			t.Errorf("%s: %d sample.* metrics, want %d", tc.name, samples, want)
+		}
 	}
 
 	mc := DefaultMultiConfig()
@@ -94,4 +106,53 @@ func TestRegistryConsistency(t *testing.T) {
 	m.LLC.RegisterMetrics(shared, "llc")
 	m.DRAM.RegisterMetrics(shared, "dram")
 	checkRegistry(t, "mix shared", shared)
+}
+
+// TestSimCountersResetWithStats checks the sim layer's own counters against
+// the warmup boundary: the warmup trains the L1D prefetcher, ResetStats
+// zeroes prefetch.l1d.trains with the component statistics, and after the
+// measured phase it counts exactly that phase's demand accesses.
+func TestSimCountersResetWithStats(t *testing.T) {
+	w, ok := trace.ByName("spec.stream_s00")
+	if !ok {
+		t.Fatal("workload missing")
+	}
+	cfg := DefaultConfig()
+	cfg.Policy = PolicyDripper
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, err := w.NewReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := func(name string) uint64 {
+		v, ok := sys.Metrics.Value(name)
+		if !ok {
+			t.Fatalf("metric %q not registered", name)
+		}
+		return v
+	}
+	sys.Core.Attach(reader, 5_000)
+	if err := sys.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if value("prefetch.l1d.trains") == 0 {
+		t.Fatal("warmup trained nothing")
+	}
+	sys.ResetStats()
+	for _, name := range []string{"prefetch.l1d.trains", "prefetch.l1d.candidates",
+		"prefetch.l1i.candidates", "prefetch.l2c.candidates", "sim.epochs"} {
+		if v := value(name); v != 0 {
+			t.Errorf("%s = %d after ResetStats", name, v)
+		}
+	}
+	sys.Core.Attach(reader, 10_000)
+	if err := sys.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if trains, acc := value("prefetch.l1d.trains"), value("l1d.demand_accesses"); trains == 0 || trains != acc {
+		t.Fatalf("measured-phase trains = %d, want the phase's %d L1D demand accesses", trains, acc)
+	}
 }

@@ -58,7 +58,7 @@ func (s *System) runSampled(ctx context.Context, name, suite string, reader trac
 	// segment count.
 	excluded, before, after := &stats.Run{}, &stats.Run{}, &stats.Run{}
 	for _, seg := range sc.Plan(s.cfg.SimInstrs) {
-		s.mSampleSegments.Inc()
+		s.counters.sampleSegments++
 		ended := false
 		if seg.Warm > 0 {
 			var err error
@@ -66,7 +66,7 @@ func (s *System) runSampled(ctx context.Context, name, suite string, reader trac
 				return s.collectSampled(name, suite, excluded), &RunError{Workload: name, Stage: "measure", Err: err}
 			}
 			s.gapReset()
-			s.mSampleWarmInstrs.Add(seg.Warm)
+			s.counters.sampleWarmInstrs += seg.Warm
 		}
 		if seg.Ramp > 0 {
 			s.collectInto(before, name, suite)
@@ -81,7 +81,7 @@ func (s *System) runSampled(ctx context.Context, name, suite string, reader trac
 		if err := s.Run(ctx); err != nil {
 			return s.collectSampled(name, suite, excluded), &RunError{Workload: name, Stage: runStage("measure", err), Err: err}
 		}
-		s.mSampleMeasuredInstrs.Add(seg.Measure)
+		s.counters.sampleMeasuredInstrs += seg.Measure
 		if ended {
 			break // trace exhausted without replay: nothing left to sample
 		}

@@ -209,20 +209,10 @@ type System struct {
 	Metrics *metrics.Registry
 	Tracer  *metrics.Tracer
 
-	// Sim-layer prefetch accounting handles (owned by Metrics).
-	mL1DTrains     *metrics.Counter
-	mL1DCandidates *metrics.Counter
-	mL1ICandidates *metrics.Counter
-	mL2CCandidates *metrics.Counter
-	mDegreeHist    *metrics.Histogram
-	mEpochs        *metrics.Counter
-
-	// Sampling accounting, registered (and non-nil) only when sampling is
-	// enabled, so full-simulation metric snapshots are byte-identical with
-	// and without the sampling subsystem compiled in.
-	mSampleSegments       *metrics.Counter
-	mSampleWarmInstrs     *metrics.Counter
-	mSampleMeasuredInstrs *metrics.Counter
+	// counters is the sim layer's own accounting, emitted by its view
+	// source; mDegreeHist is the per-train issue degree (owned by Metrics).
+	counters    simCounters
+	mDegreeHist *metrics.Histogram
 
 	// Demand history for the filter's Input.
 	prevVA1, prevVA2 uint64
@@ -407,7 +397,7 @@ func (a *l2Adapter) Access(req *cache.Request, cycle uint64) uint64 {
 		cands := s.L2CPf.Train(prefetch.Access{
 			Addr: uint64(req.PA), PC: uint64(req.PC), Cycle: cycle, Hit: hit,
 		})
-		s.mL2CCandidates.Add(uint64(len(cands)))
+		s.counters.l2cCandidates += uint64(len(cands))
 		for _, c := range cands {
 			if c.CrossesPage(uint64(req.PA)) {
 				continue // PIPT prefetchers must stay within the frame
@@ -434,7 +424,7 @@ func (s *System) fetch(pc uint64, cycle uint64) uint64 {
 
 	if s.L1IPf != nil {
 		icands := s.L1IPf.Train(prefetch.Access{Addr: pc, PC: pc, Cycle: cycle})
-		s.mL1ICandidates.Add(uint64(len(icands)))
+		s.counters.l1iCandidates += uint64(len(icands))
 		for _, c := range icands {
 			if c.CrossesPage(pc) {
 				continue // instruction prefetching stays in-page
@@ -487,9 +477,9 @@ func (s *System) demandAccess(pc, va uint64, cycle uint64, kind mem.AccessType) 
 		if !hit {
 			s.L1DPf.FillLatency(ready - cycle)
 		}
-		s.mL1DTrains.Inc()
+		s.counters.l1dTrains++
 		cands := s.L1DPf.Train(prefetch.Access{Addr: va, PC: pc, Cycle: cycle, Hit: hit})
-		s.mL1DCandidates.Add(uint64(len(cands)))
+		s.counters.l1dCandidates += uint64(len(cands))
 		s.issuePrefetches(pc, va, firstPage, res.Translation.Kind, cands, cycle)
 	}
 
@@ -570,7 +560,7 @@ func (s *System) issuePrefetches(pc, triggerVA uint64, firstPage bool, triggerKi
 // epoch closes a filter epoch: it builds the SystemState snapshot from the
 // per-epoch deltas and ticks the policy.
 func (s *System) epoch(cycle, retired uint64) {
-	s.mEpochs.Inc()
+	s.counters.epochs++
 	cur := epochCounters{
 		instr:      retired,
 		cycles:     s.Core.Stats.Cycles,
@@ -634,9 +624,10 @@ func (s *System) ResetStats() {
 	*s.MMU.PTW.Stats = stats.PTWStats{}
 	s.DRAM.Stats = dram.Stats{}
 	s.epochSnap = epochCounters{}
-	// Registry-owned counters and histograms (MSHR/latency/depth/degree
-	// distributions, epoch count) reset with the stats they accompany; the
-	// view sources read the fields zeroed above.
+	s.counters = simCounters{}
+	// Registry-owned histograms (MSHR/latency/depth/degree distributions)
+	// reset with the stats they accompany; the view sources read the fields
+	// zeroed above.
 	s.Metrics.Reset()
 	s.Tracer.Reset()
 }

@@ -10,7 +10,7 @@ import (
 func TestRegisterMetrics(t *testing.T) {
 	tl := newTLB(t, 16, 4)
 	r := metrics.NewRegistry()
-	tl.RegisterMetrics(r, "dtlb")
+	r.Source("dtlb", tl)
 
 	va := mem.VAddr(0x1000)
 	tl.Lookup(va, true) // miss

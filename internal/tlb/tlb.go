@@ -320,10 +320,6 @@ func (t *TLB) CheckInvariants(resolve func(mem.VAddr) (vmem.Translation, bool)) 
 // Latency returns the hit latency.
 func (t *TLB) Latency() uint64 { return t.cfg.Latency }
 
-// RegisterMetrics exports the TLB's statistics block into a metrics
-// registry under prefix ("dtlb", "itlb", "stlb").
-func (t *TLB) RegisterMetrics(r *metrics.Registry, prefix string) { r.Source(prefix, t) }
-
 // EmitMetrics implements metrics.Source: the statistics block and the
 // capacity.
 func (t *TLB) EmitMetrics(emit metrics.Emit) {
