@@ -93,6 +93,7 @@ fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzTraceStream -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzSampledVsFull -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzDecodeRuns -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzKeyPreimage -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
 	$(GO) test ./internal/wdl -run '^$$' -fuzz FuzzWDLParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wdl -run '^$$' -fuzz FuzzWDLRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzMSHRFile -fuzztime $(FUZZTIME)

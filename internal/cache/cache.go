@@ -554,8 +554,9 @@ func (c *Cache) fill(req *Request, si uint64, wi int, tag, issue, ready uint64, 
 	}
 }
 
-// evict notifies hooks, accounts stats and issues a writeback for dirty
-// data, for the valid way at row index i of set si.
+// evict notifies hooks and accounts stats for the valid way at row index i
+// of set si. A dirty line only counts in Writebacks: nothing is sent to
+// the level below.
 func (c *Cache) evict(si, i uint64) {
 	st := c.state[i]
 	c.Stats.Evictions++

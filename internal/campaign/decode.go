@@ -2,12 +2,11 @@ package campaign
 
 import (
 	"bytes"
-	"encoding"
 	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
-	"unicode/utf8"
+	"unsafe"
 
 	"repro/internal/stats"
 )
@@ -32,7 +31,7 @@ func decodeRuns(b []byte) ([]*stats.Run, bool) {
 	for i := 1; ; i++ { // i steps past the '[' and then each ','
 		r := new(stats.Run)
 		var ok bool
-		if i, ok = runPlan.decode(b, i, reflect.ValueOf(r).Elem()); !ok {
+		if i, ok = runPlan.decode(b, i, unsafe.Pointer(r)); !ok {
 			return nil, false
 		}
 		runs = append(runs, r)
@@ -48,87 +47,42 @@ func decodeRuns(b []byte) ([]*stats.Run, bool) {
 
 var runPlan, runPlanErr = newStructPlan(reflect.TypeOf(stats.Run{}))
 
-// structPlan decodes one struct: each field's key literal, then its value,
-// in declaration order, then close.
-type structPlan struct {
-	fields []fieldPlan
-	close  string // "}", or "{}" for a struct without fields
-}
-
-type fieldPlan struct {
-	key   string // `{"Name":` for the first field, `,"Name":` after it
-	index int
-	kind  reflect.Kind // reflect.Uint64, reflect.String or reflect.Struct
-	sub   *structPlan  // the nested struct's plan when kind is Struct
-}
-
-var (
-	uint64Type        = reflect.TypeOf(uint64(0))
-	stringType        = reflect.TypeOf("")
-	marshalerType     = reflect.TypeOf((*json.Marshaler)(nil)).Elem()
-	textMarshalerType = reflect.TypeOf((*encoding.TextMarshaler)(nil)).Elem()
-)
-
-// newStructPlan plans t's fields. Leaves must be exactly uint64 or string:
-// a named type may change how json.Marshal writes it (json.Number does).
-func newStructPlan(t reflect.Type) (*structPlan, error) {
-	if pt := reflect.PointerTo(t); pt.Implements(marshalerType) || pt.Implements(textMarshalerType) {
-		return nil, fmt.Errorf("campaign: run decoder: %s marshals itself", t)
+// newStructPlan plans the struct t for decoding as well as encoding: its
+// plan must be decodable.
+func newStructPlan(t reflect.Type) (*typePlan, error) {
+	p, err := newTypePlan(t)
+	if err != nil {
+		return nil, err
 	}
-	p := &structPlan{close: "}"}
-	if t.NumField() == 0 {
-		p.close = "{}"
-	}
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() || f.Anonymous || f.Tag.Get("json") != "" {
-			return nil, fmt.Errorf("campaign: run decoder: %s.%s is not a plain exported field", t, f.Name)
-		}
-		name, err := json.Marshal(f.Name)
-		if err != nil {
-			return nil, err
-		}
-		sep := ","
-		if i == 0 {
-			sep = "{"
-		}
-		fp := fieldPlan{key: sep + string(name) + ":", index: i, kind: f.Type.Kind()}
-		switch {
-		case f.Type == uint64Type, f.Type == stringType:
-		case fp.kind == reflect.Struct:
-			if fp.sub, err = newStructPlan(f.Type); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("campaign: run decoder: %s.%s has unsupported type %s", t, f.Name, f.Type)
-		}
-		p.fields = append(p.fields, fp)
+	if p.kind != reflect.Struct || !p.decodable {
+		return nil, fmt.Errorf("campaign: run decoder: %s holds a field that is not an exported, untagged uint64, string or such struct", t)
 	}
 	return p, nil
 }
 
-// decode reads the struct starting at b[i] into v and returns the index
-// just past it.
-func (p *structPlan) decode(b []byte, i int, v reflect.Value) (int, bool) {
-	ok := true
-	for _, f := range p.fields {
-		if i, ok = skip(b, i, f.key); !ok {
+// decode reads the struct starting at b[i] into the value at ptr, of type
+// p.typ, for a decodable plan, and returns the index just past it. Such a
+// plan is flat: no field is ever omitted, so every nested struct's fields
+// are in p.fields, and the values are uint64s and strings.
+func (p *typePlan) decode(b []byte, i int, ptr unsafe.Pointer) (int, bool) {
+	i, ok := skip(b, i, "{")
+	if !ok {
+		return 0, false
+	}
+	for n, f := range p.fields {
+		lit := f.lit
+		if n == 0 {
+			lit = lit[1:]
+		}
+		if i, ok = skip(b, i, lit); !ok {
 			return 0, false
 		}
-		fv := v.Field(f.index)
+		fp := unsafe.Add(ptr, f.offset)
 		switch f.kind {
 		case reflect.Uint64:
-			var n uint64
-			if n, i, ok = parseUint(b, i); ok {
-				fv.SetUint(n)
-			}
+			*(*uint64)(fp), i, ok = parseUint(b, i)
 		case reflect.String:
-			var s string
-			if s, i, ok = parseString(b, i); ok {
-				fv.SetString(s)
-			}
-		case reflect.Struct:
-			i, ok = f.sub.decode(b, i, fv)
+			*(*string)(fp), i, ok = parseString(b, i)
 		}
 		if !ok {
 			return 0, false
@@ -164,31 +118,24 @@ func parseUint(b []byte, i int) (uint64, int, bool) {
 }
 
 // parseString reads a JSON string as json.Marshal writes it. The common
-// case has no escape and is read in place: it must hold no byte
-// json.Marshal would have escaped (a control character, <, >, &, U+2028,
-// U+2029) and only valid UTF-8. A string with an escape is decoded by
-// encoding/json and kept only if it marshals back to the same bytes.
+// case has no escape and is read in place: it must be verbatim, holding
+// only what json.Marshal writes unescaped. A string with an escape is
+// decoded by encoding/json and kept only if it marshals back to the same
+// bytes.
 func parseString(b []byte, i int) (string, int, bool) {
 	if i >= len(b) || b[i] != '"' {
 		return "", 0, false
 	}
-	for j := i + 1; j < len(b); {
-		switch c := b[j]; {
-		case c == '"':
-			return string(b[i+1 : j]), j + 1, true
-		case c == '\\':
-			return parseEscapedString(b, i)
-		case c < 0x20 || c == '<' || c == '>' || c == '&':
-			return "", 0, false
-		case c < utf8.RuneSelf:
-			j++
-		default:
-			r, size := utf8.DecodeRune(b[j:])
-			if (r == utf8.RuneError && size == 1) || r == '\u2028' || r == '\u2029' {
-				return "", 0, false
-			}
-			j += size
-		}
+	n := bytes.IndexByte(b[i+1:], '"')
+	if n < 0 {
+		return "", 0, false
+	}
+	raw := b[i+1 : i+1+n]
+	if bytes.IndexByte(raw, '\\') >= 0 {
+		return parseEscapedString(b, i)
+	}
+	if s := string(raw); verbatim(s) {
+		return s, i + n + 2, true
 	}
 	return "", 0, false
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -109,7 +110,8 @@ func FuzzSampledVsFull(f *testing.F) {
 //  1. any payload decodeRuns accepts re-marshals to exactly those bytes, so
 //     Get never serves an entry Put could not have written;
 //  2. json.Marshal of runs built from fuzzed field values is always
-//     accepted and decodes to those runs.
+//     accepted and decodes to those runs, and the plan Put writes them
+//     through gives exactly those bytes.
 //
 // The seeds are a real single-core payload, a 2-core mix payload, and runs
 // whose names hold every kind of character json.Marshal escapes.
@@ -139,6 +141,9 @@ func FuzzDecodeRuns(f *testing.F) {
 		payload, err := json.Marshal(runs)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if planned, err := appendRuns(nil, runs); err != nil || !bytes.Equal(planned, payload) {
+			t.Fatalf("Put's plan wrote\n%q (err %v)\nwhich is not json.Marshal's\n%q", planned, err, payload)
 		}
 		got, ok := decodeRuns(payload)
 		if !ok {
@@ -181,4 +186,76 @@ func fuzzRuns(workload, suite string, x, y uint64) []*stats.Run {
 		fill(reflect.ValueOf(runs[i]).Elem())
 	}
 	return runs
+}
+
+// FuzzKeyPreimage holds the key's pre-image to json.Marshal's bytes: for
+// a cell built from fuzzed ints, uints, floats, strings and nil-or-not
+// choices, the plan writes exactly what json.Marshal writes, or both fail
+// (NaN and ±Inf). The seeds hold the integer extremes, the floats at
+// encoding/json's format switches (1e-6, 1e21) and its exponent trim,
+// -0, the smallest subnormal, and strings json.Marshal escapes.
+func FuzzKeyPreimage(f *testing.F) {
+	f.Add(int64(0), uint64(0), 0.0, "", uint8(0))
+	f.Add(int64(math.MinInt64), uint64(math.MaxUint64), math.Copysign(0, -1), "<a&b>", uint8(0xff))
+	f.Add(int64(math.MaxInt64), uint64(1), 1e-7, "\x00\x1f\"\\", uint8(0x55))
+	f.Add(int64(-1), uint64(1<<63), 1e21, "\u2028 \u2029", uint8(0xaa))
+	f.Add(int64(1), uint64(10), 5e-324, "invalid \xff UTF-8", uint8(0x0f))
+	f.Add(int64(7), uint64(99), 1e-6, "\xed\xa0\x80", uint8(0xf0))
+	f.Add(int64(100), uint64(1e6), 999999999999999900000.0, "plain", uint8(3))
+	f.Add(int64(-12), uint64(12), math.NaN(), "nan", uint8(1))
+	f.Add(int64(12), uint64(12), math.Inf(-1), "inf", uint8(2))
+	f.Fuzz(func(t *testing.T, i int64, u uint64, x float64, s string, flags uint8) {
+		p := fuzzPayload(i, u, x, s, flags)
+		want, werr := json.Marshal(p)
+		got, gerr := appendPreimage(nil, p)
+		if (werr != nil) != (gerr != nil) || !bytes.Equal(got, want) {
+			t.Fatalf("plan wrote\n%s (err %v)\njson.Marshal wrote\n%s (err %v)", got, gerr, want, werr)
+		}
+	})
+}
+
+// fuzzPayload builds a single- or multi-core pre-image whose config and
+// workload fields are drawn from the fuzzed values. Each flag bit picks a
+// nil or non-nil (or empty) alternative.
+func fuzzPayload(i int64, u uint64, x float64, s string, flags uint8) *keyPayload {
+	bit := func(n uint) bool { return flags&(1<<n) != 0 }
+	cfg := sim.DefaultConfig()
+	cfg.Core.Width, cfg.MaxPrefetchDegree = int(i), int(i>>7)
+	cfg.WarmupInstrs, cfg.DRAM.RowBytes = u, u>>3
+	cfg.VMem.LargePageFraction = x
+	cfg.L1DPrefetcher, cfg.Policy, cfg.LLC.Name = s, sim.PolicyKind(s), s+s
+	cfg.Sample = sim.SampleConfig{Enabled: bit(0), Seed: u, IntervalInstrs: uint64(i)}
+	if bit(1) {
+		fc := core.DefaultDripperConfig(s)
+		fc.Name = s
+		fc.Adaptive.AccuracyLow, fc.Adaptive.IPCDropFrac = x, -x
+		fc.Adaptive.Levels = nil
+		if bit(2) {
+			fc.ProgramFeatures, fc.SystemFeatures = []string{}, []string{s, ""}
+			fc.Adaptive.Levels = []int{int(i), 0}
+		}
+		if bit(3) {
+			th := int(i)
+			fc.StaticThreshold = &th
+		}
+		cfg.FilterConfig = &fc
+	}
+	gen := trace.GenConfig{Seed: u, ComputePerMem: int(i), StoreFrac: x / 3, HardBranchFrac: x * 1e-9}
+	if bit(4) {
+		gen.Streams = []trace.StreamSpec{{StrideLines: i, FootprintPages: u, JumpRandom: bit(5)}}
+		gen.Phases = [][]int{nil, {}, {int(i)}}
+	} else if bit(5) {
+		gen.Streams, gen.Phases = []trace.StreamSpec{}, [][]int{}
+	}
+	wk := workloadKey{Name: s, Suite: s[:len(s)/2], Gen: gen}
+	if bit(6) {
+		wk.Source = &trace.Source{Path: s, Format: s, SHA256: s}
+	}
+	p := &keyPayload{Schema: int(i), Workloads: []workloadKey{wk, wk}[:1+int(flags>>7)]}
+	if bit(7) {
+		p.Multi = &sim.MultiConfig{PerCore: cfg, Cores: int(i), QuantumCycles: u}
+	} else {
+		p.Config = &cfg
+	}
+	return p
 }

@@ -7,21 +7,29 @@
 // that had not completed; a config change invalidates exactly the affected
 // cells (their content hash moves, everything else still hits).
 //
-// The cache reads only what it writes. Store.Put writes json.Marshal's
-// bytes for an entry; Store.Get decodes exactly those bytes in one pass,
-// through a field plan built once by reflection over stats.Run, and reads
-// anything else — including a valid but re-formatted entry — as a miss.
-// The plan supports nested structs, uint64 and string fields only; giving
-// stats.Run a field of another kind needs the decoder extended, and, as
-// any stats change does, a SchemaVersion bump.
+// Keys and entries are json.Marshal's bytes, written and read without
+// encoding/json. One field plan per type, built once by reflection
+// (typePlan), writes exactly what json.Marshal would: KeyOf hashes the
+// pre-image it writes for the cell, and Store.Put stores the runs it
+// writes. A keyed or stored type the plan cannot write exactly — one that
+// marshals itself, or a map, interface or float32 — fails the plan, and
+// then every cell is uncacheable rather than keyed differently.
+//
+// The cache reads only what it writes. Store.Get decodes Put's bytes in
+// one pass through the same plan over stats.Run, and reads anything else —
+// including a valid but re-formatted entry — as a miss. Decoding supports
+// nested structs, uint64 and string fields only; giving stats.Run a field
+// of another kind needs the decoder extended, and, as any stats change
+// does, a SchemaVersion bump.
 package campaign
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -76,10 +84,11 @@ func cellWorkloadKey(w trace.Workload) (workloadKey, error) {
 	return workloadKey{Name: w.Name, Suite: w.Suite, Gen: w.Config, Source: w.Source}, nil
 }
 
-// keyPayload is the canonical pre-image. Go's encoding/json is
-// deterministic for struct fields (declaration order) and maps (sorted
-// keys), so marshalling is a stable serialisation without a bespoke
-// canonicaliser.
+// keyPayload's pre-image is the bytes json.Marshal writes for it:
+// encoding/json orders struct fields by declaration, so those bytes are a
+// stable serialisation, and keys computed by marshalling stay valid.
+// keyPlan writes the same bytes without encoding/json
+// (TestKeyPreimageMatchesMarshal, FuzzKeyPreimage).
 type keyPayload struct {
 	Schema    int              `json:"schema"`
 	Config    *sim.Config      `json:"config,omitempty"`
@@ -97,11 +106,8 @@ func KeyOf(cfg sim.Config, w trace.Workload) (Key, error) {
 	if err != nil {
 		return "", err
 	}
-	return hashPayload(keyPayload{
-		Schema:    SchemaVersion,
-		Config:    &cfg,
-		Workloads: []workloadKey{wk},
-	})
+	wks := [1]workloadKey{wk}
+	return hashPayload(&keyPayload{Schema: SchemaVersion, Config: &cfg, Workloads: wks[:]})
 }
 
 // MixKeyOf returns the cache key for a multi-core cell: mc run over mix
@@ -118,14 +124,31 @@ func MixKeyOf(mc sim.MultiConfig, mix []trace.Workload) (Key, error) {
 		}
 		wks[i] = wk
 	}
-	return hashPayload(keyPayload{Schema: SchemaVersion, Multi: &mc, Workloads: wks})
+	return hashPayload(&keyPayload{Schema: SchemaVersion, Multi: &mc, Workloads: wks})
 }
 
-func hashPayload(p keyPayload) (Key, error) {
-	b, err := json.Marshal(p)
+// keyPlan writes keyPayload's pre-image; a keyed type the plan cannot
+// write exactly as json.Marshal does leaves keyPlanErr set, and every cell
+// uncacheable (TestKeyPlanCoversPayload fails on it first).
+var keyPlan, keyPlanErr = newTypePlan(reflect.TypeOf(keyPayload{}))
+
+// appendPreimage appends json.Marshal's bytes for p.
+func appendPreimage(b []byte, p *keyPayload) ([]byte, error) {
+	if keyPlanErr != nil {
+		return nil, keyPlanErr
+	}
+	return keyPlan.encode(b, unsafe.Pointer(p))
+}
+
+// hashPayload hashes p's pre-image, written into a stack buffer that
+// holds any single-core registry cell's (2.4 KB at most).
+func hashPayload(p *keyPayload) (Key, error) {
+	var buf [4096]byte
+	b, err := appendPreimage(buf[:0], p)
 	if err != nil {
 		return "", fmt.Errorf("campaign: hashing cell: %w", err)
 	}
 	sum := sha256.Sum256(b)
-	return Key(hex.EncodeToString(sum[:])), nil
+	var hex64 [2 * sha256.Size]byte
+	return Key(hex.AppendEncode(hex64[:0], sum[:])), nil
 }

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
+	"unsafe"
 
 	"repro/internal/stats"
 )
@@ -50,11 +50,12 @@ func (s *Store) Dir() string { return s.dir }
 // The payload is json.Marshal of the runs, one *stats.Run per core (length
 // 1 for single-core cells); the checksum covers the payload bytes, so
 // corruption is detected independently of the filename. These are exactly
-// the bytes json.Marshal gives the matching struct, but Put builds them
-// around the payload it marshalled once, and Get compares the head byte
-// for byte, verifies the checksum and decodes the payload in one pass that
-// accepts only json.Marshal's own bytes (decodeRuns), so an entry
-// re-formatted into another valid layout reads as a miss.
+// the bytes json.Marshal gives the matching struct, but Put writes them
+// itself, the payload through the runs' field plan (appendRuns), and Get
+// compares the head byte for byte, verifies the checksum and decodes the
+// payload in one pass that accepts only json.Marshal's own bytes
+// (decodeRuns), so an entry re-formatted into another valid layout reads as
+// a miss.
 
 // checksumLen is the length of a hex SHA-256 checksum.
 const checksumLen = 2 * sha256.Size
@@ -100,6 +101,26 @@ func appendChecksum(b, payload []byte) []byte {
 	return hex.AppendEncode(b, sum[:])
 }
 
+// appendRuns appends json.Marshal's bytes for runs: the payload Put
+// stores.
+func appendRuns(b []byte, runs []*stats.Run) ([]byte, error) {
+	if runPlanErr != nil {
+		return nil, runPlanErr
+	}
+	b = append(b, '[')
+	for i, r := range runs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if r == nil {
+			b = append(b, "null"...)
+			continue
+		}
+		b, _ = runPlan.encode(b, unsafe.Pointer(r)) // no floats: cannot fail
+	}
+	return append(b, ']'), nil
+}
+
 // Get returns the cached runs for k, or ok=false on any miss — absent, not
 // laid out byte for byte as Put writes it, wrong key, wrong schema version,
 // checksum mismatch, or a payload that is not json.Marshal's encoding of
@@ -142,7 +163,7 @@ func (s *Store) Put(k Key, runs []*stats.Run) error {
 	if len(runs) == 0 {
 		return fmt.Errorf("campaign: refusing to cache empty result")
 	}
-	payload, err := json.Marshal(runs)
+	payload, err := appendRuns(nil, runs)
 	if err != nil {
 		return fmt.Errorf("campaign: caching result: %w", err)
 	}

@@ -126,8 +126,10 @@ func (d *DRAM) Access(req *cache.Request, cycle uint64) uint64 {
 	row := d.rowOf(req.PA)
 
 	// Demand-class traffic (demand accesses and page-table reads) queues
-	// only behind demand occupancy; prefetch-class traffic (prefetches,
-	// writebacks) queues behind everything. See the bank type comment.
+	// only behind demand occupancy; prefetch-class traffic (prefetches)
+	// queues behind everything. See the bank type comment. The caches
+	// send no writebacks down (a dirty eviction only counts Writebacks),
+	// so a simulation's Writes stays 0.
 	demandClass := req.Type.IsDemand() || req.Type == mem.PTWRead
 	start := cycle
 	if demandClass {

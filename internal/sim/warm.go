@@ -186,8 +186,9 @@ func (p *warmPipe) WarmFetch(pc uint64) {
 func (p *warmPipe) WarmLoad(va uint64) { p.warmData(va, 0) }
 
 // WarmStore implements sample.Ops: the functional data-store path; the
-// warmed line is installed (or marked) dirty, so writeback traffic after
-// the gap matches what detailed execution would have produced.
+// warmed line is installed (or marked) dirty, so the Writebacks a dirty
+// eviction counts after the gap match what detailed execution would have
+// counted (no writeback is sent below in either mode).
 func (p *warmPipe) WarmStore(va uint64) { p.warmData(va, opStore) }
 
 func (p *warmPipe) warmData(va, flags uint64) {
