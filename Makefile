@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt check cover bench campaign golden wdl-golden diff fuzz soak daemon-e2e
+.PHONY: build test race vet fmt check cover bench campaign golden wdl-golden diff fuzz soak daemon-e2e audit
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,21 @@ campaign: build
 		&& echo 'campaign: warm-cache re-run performed zero simulations' \
 		|| { echo 'campaign: FAIL — warm-cache re-run still simulated'; rm -rf $(CAMPAIGN_CACHE); exit 1; }
 	@rm -rf $(CAMPAIGN_CACHE)
+
+# audit lists the model functions no experiment runs: cmd/experiments is
+# built with coverage over every package and runs `-exp all` once at full
+# detail and once sampled; the functions of the model packages still at
+# 0.0% are printed. Not a gate, since test-only accessors are on the list
+# too; a function named here must be read by a check or a DESIGN.md §5
+# ablation, or go.
+audit:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && mkdir -p "$$dir/cov" && \
+	$(GO) build -cover -coverpkg=./... -o "$$dir/experiments" ./cmd/experiments && \
+	GOCOVERDIR="$$dir/cov" "$$dir/experiments" -exp all -max-workloads 4 -warmup 5000 -instrs 10000 >/dev/null && \
+	GOCOVERDIR="$$dir/cov" "$$dir/experiments" -exp all -sample -max-workloads 2 -warmup 5000 -instrs 50000 >/dev/null && \
+	$(GO) tool covdata func -i="$$dir/cov" | \
+		grep -E '^repro/internal/(cache|tlb|ptw|dram|cpu|mmu|core|prefetch|vmem|sample|sim)/' | \
+		awk '$$NF == "0.0%"'
 
 # soak runs the daemon chaos harness — fault injection, cache corruption,
 # hostile clients, graceful and hard restarts — for SOAK under the race

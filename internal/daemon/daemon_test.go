@@ -243,6 +243,7 @@ func TestSubmitChecksNames(t *testing.T) {
 	for _, bad := range []struct{ config, name string }{
 		{`{"Policy":"bogus"}`, `"bogus"`},
 		{`{"L2CPrefetcher":"nope"}`, `L2C prefetcher "nope"`},
+		{`{"L1DPrefetcher":"sms"}`, `L1D prefetcher "sms"`},
 	} {
 		resp, sr := submit(t, ts, `{"cells":[{"id":"a","workload":"spec.stream_s00","config":`+bad.config+`}]}`)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(sr.Error, bad.name) {

@@ -7,7 +7,7 @@ import (
 
 func TestCheckInvariants(t *testing.T) {
 	// Engines without checkable metadata (and nil) pass trivially.
-	for _, p := range []Prefetcher{nil, NewStride(), NewSPP(), NewSMS(), NewIPCP()} {
+	for _, p := range []Prefetcher{nil, NewSPP(), NewIPCP()} {
 		if err := CheckInvariants(p); err != nil {
 			t.Fatalf("engine %T violates: %v", p, err)
 		}

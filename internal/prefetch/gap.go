@@ -34,22 +34,6 @@ func (p *IPCP) GapReset() {
 	p.regions = [ipcpRegionTable]ipcpRegion{}
 }
 
-// GapReset implements GapResetter: the table re-primes on the next access
-// per PC. Stride's learned state is the (stride, confidence) pair attached
-// to the same entry as the last line, so the whole entry resets; two
-// accesses re-establish it.
-func (s *Stride) GapReset() {
-	for i := range s.table {
-		s.table[i] = strideEntry{}
-	}
-}
-
-// GapReset implements GapResetter: live region generations are dropped
-// (their bitmaps never promote); the pattern history table survives.
-func (s *SMS) GapReset() {
-	s.agt = [smsAGTSize]smsAGTEntry{}
-}
-
 // GapReset implements GapResetter: the per-page signature trackers are
 // cleared (the in-flight path is meaningless across a gap); the pattern
 // table survives.

@@ -1,8 +1,9 @@
 // Package prefetch implements the hardware prefetchers the paper evaluates:
 // Berti (local deltas with timeliness, MICRO'22), IPCP (instruction-pointer
-// classifier, ISCA'20) and BOP (best-offset, HPCA'16) at the L1D, plus SPP
-// (lookahead signature-path, MICRO'16) and next-line engines used at the
-// L2C and L1I in §V-B7.
+// classifier, ISCA'20) and BOP (best-offset, HPCA'16) at the L1D, SPP
+// (lookahead signature-path, MICRO'16) beside IPCP and BOP at the L2C
+// (§V-B7), next-line and FNL+MMA at the L1I, and the FDP throttle that
+// wraps an L1D engine (the §VI prefetch-management baseline).
 //
 // Prefetchers are address-space agnostic: they observe byte addresses and
 // emit candidate target addresses. The simulator instantiates them over

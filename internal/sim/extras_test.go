@@ -9,23 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-func TestExtraPrefetchersRun(t *testing.T) {
-	w := streamWorkload(t)
-	for _, pf := range []string{"stride", "sms"} {
-		cfg := testConfig(PolicyPermit)
-		cfg.L1DPrefetcher = pf
-		cfg.WarmupInstrs = 5_000
-		cfg.SimInstrs = 15_000
-		r, err := RunWorkload(context.Background(), cfg, w)
-		if err != nil {
-			t.Fatalf("%s: %v", pf, err)
-		}
-		if pf == "stride" && r.L1D.PrefetchFills == 0 {
-			t.Errorf("%s filled nothing on a stream", pf)
-		}
-	}
-}
-
 func TestFDPThrottleWiring(t *testing.T) {
 	cfg := testConfig(PolicyPermit)
 	cfg.FDPThrottle = true

@@ -25,7 +25,7 @@ func fuzzConfig() Config {
 // fuzzPolicies and fuzzPrefetchers span the decision space the fuzzer
 // exercises.
 var fuzzPolicies = []PolicyKind{PolicyDiscard, PolicyPermit, PolicyDiscardPTW, PolicyDripper, PolicyPPF, PolicyDripperSF}
-var fuzzPrefetchers = []string{"berti", "ipcp", "bop", "stride", "sms"}
+var fuzzPrefetchers = []string{"berti", "ipcp", "bop"}
 
 // reportFuzzViolation shrinks a violating stream, writes the minimal repro,
 // and fails the fuzz run with its location.
@@ -49,7 +49,7 @@ func FuzzSimVsOracle(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint8(0), uint64(1), uint16(800)) // stream × dripper × berti
 	f.Add(uint8(1), uint8(0), uint8(2), uint64(2), uint16(600)) // pagehop × discard × bop
 	f.Add(uint8(3), uint8(1), uint8(1), uint64(3), uint16(700)) // graph × permit × ipcp
-	f.Add(uint8(5), uint8(2), uint8(4), uint64(4), uint16(500)) // phased × discard-ptw × sms
+	f.Add(uint8(5), uint8(2), uint8(4), uint64(4), uint16(500)) // phased × discard-ptw × ipcp
 	f.Fuzz(func(t *testing.T, family, policy, pf uint8, seed uint64, n uint16) {
 		fams := trace.Families()
 		fam := fams[int(family)%len(fams)]

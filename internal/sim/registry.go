@@ -24,8 +24,6 @@ var prefetchers = map[string]engine{
 	"berti":    {[]string{"l1d"}, ctor(prefetch.NewBerti), sized(prefetch.NewBertiSized, 512)},
 	"ipcp":     {[]string{"l1d", "l2c"}, ctor(prefetch.NewIPCP), sized(prefetch.NewIPCPSized, 1024)},
 	"bop":      {[]string{"l1d", "l2c"}, ctor(prefetch.NewBOP), sized(prefetch.NewBOPSized, 512)},
-	"stride":   {[]string{"l1d"}, ctor(prefetch.NewStride), nil},
-	"sms":      {[]string{"l1d"}, ctor(prefetch.NewSMS), nil},
 	"spp":      {[]string{"l2c"}, ctor(prefetch.NewSPP), nil},
 	"nextline": {[]string{"l1i"}, func() prefetch.Prefetcher { return &prefetch.NextLine{} }, nil},
 	"fnl+mma":  {[]string{"l1i"}, ctor(prefetch.NewFNLMMA), nil},

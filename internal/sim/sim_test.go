@@ -263,6 +263,8 @@ func TestInvalidConfigsRejected(t *testing.T) {
 	}{
 		{func(c *Config) { c.L1DPrefetcher = "bogus" }, `sim: unknown L1D prefetcher "bogus"`},
 		{func(c *Config) { c.L1DPrefetcher = "spp" }, `sim: unknown L1D prefetcher "spp"`},
+		{func(c *Config) { c.L1DPrefetcher = "stride" }, `sim: unknown L1D prefetcher "stride"`},
+		{func(c *Config) { c.L1DPrefetcher = "sms" }, `sim: unknown L1D prefetcher "sms"`},
 		{func(c *Config) { c.L2CPrefetcher = "bogus" }, `sim: unknown L2C prefetcher "bogus"`},
 		{func(c *Config) { c.L2CPrefetcher = "berti" }, `sim: unknown L2C prefetcher "berti"`},
 		{func(c *Config) { c.L1IPrefetcher = "ipcp" }, `sim: unknown L1I prefetcher "ipcp"`},

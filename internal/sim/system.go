@@ -53,9 +53,9 @@ type Config struct {
 	VMem vmem.Config
 
 	// The prefetcher at each level, by name (PrefetcherNames lists them;
-	// "" and "none" select no prefetcher). L1DPrefetcher: "berti", "ipcp",
-	// "bop", "stride" or "sms". L2CPrefetcher: "spp", "ipcp" or "bop"
-	// (§V-B7). L1IPrefetcher: "nextline" (the default) or "fnl+mma".
+	// "" and "none" select no prefetcher). L1DPrefetcher: "berti", "ipcp"
+	// or "bop". L2CPrefetcher: "spp", "ipcp" or "bop" (§V-B7).
+	// L1IPrefetcher: "nextline" (the default) or "fnl+mma".
 	L1DPrefetcher string
 	L2CPrefetcher string
 	L1IPrefetcher string
@@ -198,9 +198,9 @@ type System struct {
 	L1DPf prefetch.Prefetcher
 	L2CPf prefetch.Prefetcher
 	L1IPf prefetch.Prefetcher
-	// Policy may be replaced after New (a pretrained filter, a timing
-	// wrapper). First-touch tracking is set up for the configured policy,
-	// so a replacement reading FirstPageAccess must be configured through
+	// Policy may be replaced after New (a timing wrapper). First-touch
+	// tracking is set up for the configured policy, so a replacement
+	// reading FirstPageAccess must be configured through
 	// Config.FilterConfig instead.
 	Policy core.Policy
 

@@ -196,16 +196,6 @@ func ProgramFeatures() []string { return core.ProgramFeatureNames() }
 // SystemFeatures lists MOKA's system features (Table I).
 func SystemFeatures() []string { return core.SystemFeatureNames() }
 
-// FilterSnapshot is the serialisable learned state of a filter, for the
-// train-offline / deploy-pretrained workflow.
-type FilterSnapshot = core.FilterSnapshot
-
-// DecodeFilterSnapshot deserialises snapshot bytes produced by
-// (*FilterSnapshot).Encode.
-func DecodeFilterSnapshot(data []byte) (*FilterSnapshot, error) {
-	return core.DecodeFilterSnapshot(data)
-}
-
 // SelectFeatures reruns the paper's offline greedy feature selection
 // (§III-D3): eval scores a candidate configuration (geomean IPC speedup in
 // the paper); minGain is the adoption threshold (the paper uses 0.003).

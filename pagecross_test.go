@@ -157,28 +157,3 @@ func TestFacadeCampaign(t *testing.T) {
 		t.Fatalf("cached speedup %g != simulated speedup %g", got, sp)
 	}
 }
-
-func TestFacadeFilterSnapshotRoundTrip(t *testing.T) {
-	f, err := NewFilter(DripperConfig("berti"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := f.Snapshot().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := DecodeFilterSnapshot(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := NewFilter(DripperConfig("berti"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f2.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeFilterSnapshot([]byte("not a snapshot")); err == nil {
-		t.Fatal("garbage snapshot decoded")
-	}
-}
